@@ -1,0 +1,140 @@
+// Golden results: exact outcomes of the default pipeline at seed 7 on a
+// few paper benchmarks and one sharded layered workload. Compaction has no
+// optimum to check against (it is provably hard), so recorded results are
+// the oracle: any change to volume, bounding dims, escalation level, the
+// deterministic work counters (A* queue pops, reroutes, SA repacked
+// nodes), or a single byte of the geometry JSON fails here. The counters
+// are pure functions of the schedule, so they hold in every build type.
+//
+// A deliberate behaviour change must update the table below, with the new
+// values recorded from the changed code and the reason in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
+#include "common/hash.h"
+#include "core/compiler.h"
+#include "core/paper_tables.h"
+#include "core/shard.h"
+#include "geom/validate.h"
+#include "icm/workload.h"
+
+namespace tqec {
+namespace {
+
+struct Golden {
+  std::int64_t volume;
+  Vec3 dims;
+  int y_gap;
+  std::int64_t queue_pops;
+  std::int64_t reroutes;
+  std::int64_t repacked_nodes;
+  std::uint64_t digest_lo;
+  std::uint64_t digest_hi;
+};
+
+/// What a run produced, in Golden's shape. Work counters sum over the
+/// selected attempt of every window (one window when unsharded); y_gap is
+/// the largest escalation level any selected attempt needed.
+Golden observe(const core::CompileResult& r) {
+  Golden g{};
+  g.volume = r.volume;
+  g.dims = r.geometry.bounding_box().dims();
+  for (const core::PlaceAttemptStats& a : r.timings.attempts) {
+    if (!a.selected) continue;
+    g.y_gap = std::max(g.y_gap, a.y_gap);
+    g.queue_pops += a.route_queue_pops;
+    g.reroutes += a.route_reroutes;
+    g.repacked_nodes += a.sa_repacked_nodes;
+  }
+  Digest128 d;
+  d.update(geom::to_json(r.geometry));
+  g.digest_lo = d.lo;
+  g.digest_hi = d.hi;
+  return g;
+}
+
+std::string row(const Golden& g) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{%" PRId64 ", {%d, %d, %d}, %d, %" PRId64 ", %" PRId64
+                ", %" PRId64 ", 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull}",
+                g.volume, g.dims.x, g.dims.y, g.dims.z, g.y_gap, g.queue_pops,
+                g.reroutes, g.repacked_nodes, g.digest_lo, g.digest_hi);
+  return buf;
+}
+
+void expect_golden(const core::CompileResult& r, const Golden& want) {
+  ASSERT_TRUE(r.routed_legal);
+  EXPECT_TRUE(geom::validate(r.geometry).ok());
+  const Golden got = observe(r);
+  // The whole observed row is printed on failure so a deliberate update
+  // can paste it back into the table.
+  SCOPED_TRACE("observed: " + row(got));
+  EXPECT_EQ(got.volume, want.volume);
+  EXPECT_EQ(got.dims, want.dims);
+  EXPECT_EQ(got.y_gap, want.y_gap);
+  EXPECT_EQ(got.queue_pops, want.queue_pops);
+  EXPECT_EQ(got.reroutes, want.reroutes);
+  EXPECT_EQ(got.repacked_nodes, want.repacked_nodes);
+  EXPECT_EQ(got.digest_lo, want.digest_lo);
+  EXPECT_EQ(got.digest_hi, want.digest_hi);
+}
+
+core::CompileResult compile_paper(const char* name, core::PipelineMode mode) {
+  const icm::IcmCircuit circuit = icm::make_workload(
+      core::workload_spec(core::paper_benchmark(name)));
+  core::CompileOptions opt;
+  opt.mode = mode;
+  opt.seed = 7;
+  return core::compile(circuit, opt);
+}
+
+TEST(GoldenTest, Full_4gt10_v1_81) {
+  expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::Full),
+                {14256, {18, 22, 36}, 0, 5719, 50, 95045,
+                 0x7d8084a6336b19acull, 0xfeaed0adb54e07b5ull});
+}
+
+TEST(GoldenTest, Full_4gt4_v0_73) {
+  expect_golden(compile_paper("4gt4-v0_73", core::PipelineMode::Full),
+                {28700, {20, 35, 41}, 0, 42862, 178, 181643,
+                 0xc23bad9a0bb75857ull, 0xbc55b248d0c40cecull});
+}
+
+TEST(GoldenTest, Full_rd84_142_EscalatesToYGap1) {
+  expect_golden(compile_paper("rd84_142", core::PipelineMode::Full),
+                {145824, {31, 84, 56}, 1, 346423, 382, 620901,
+                 0xb0919af10560c495ull, 0xb98805185c35b0a0ull});
+}
+
+TEST(GoldenTest, DualOnly_4gt10_v1_81) {
+  expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::DualOnly),
+                {18144, {21, 32, 27}, 0, 5506, 9, 941176,
+                 0x58653e5cbf1b7afdull, 0xb7b9ddeab4a67a0eull});
+}
+
+TEST(GoldenTest, Sharded_long_8x16_t1_c2_Window4) {
+  icm::LayeredWorkloadSpec spec;
+  spec.name = "long_8x16_t1_c2";
+  spec.data_lines = 8;
+  spec.layers = 16;
+  spec.t_per_layer = 1;
+  spec.cnots_per_layer = 2;
+  spec.seed = 7;
+  core::CompileOptions opt;
+  opt.seed = 7;
+  core::ShardOptions shard;
+  shard.window = 4;
+  const core::CompileResult r =
+      core::compile_sharded(icm::make_layered_workload(spec), opt, shard);
+  EXPECT_TRUE(r.shard.issues.empty()) << r.shard.issues.front();
+  expect_golden(r, {54080, {260, 13, 16}, 0, 543, 53, 106940,
+                    0xa9c6108363e8e12eull, 0x04f138bbb6adfbe9ull});
+}
+
+}  // namespace
+}  // namespace tqec
