@@ -1,10 +1,6 @@
 // Google-benchmark coverage for the data-oriented geometry engine
 // (geom/cell_grid.h): occupancy-grid build cost and query throughput,
-// plus the measured validate+stitch path of a long layered workload run
-// A/B — grid engine (grid:1) against the hash-set reference (grid:0) on
-// identical inputs in the same process. The timing-gate ratio
-// geom_grid_over_hash (see bench/geom_timing_baseline.json) pins the
-// grid engine's speedup self-relatively, so runner speed cancels out.
+// plus the measured validate+stitch path of a long layered workload.
 // Counters carry the memory story (grid_bytes, peak_rss_mib) next to the
 // timing so CI artifacts show both axes of the trade.
 //
@@ -19,7 +15,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -184,52 +179,22 @@ void BM_GridQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridQuery)->UseRealTime();
 
-// Hash-set reference for the canonical exact cell count — the per-plane
-// rasterize-into-unordered_set every consumer used before the grid.
-std::int64_t hash_exact_cell_count(const geom::GeomDescription& g) {
-  std::unordered_set<Vec3> planes[2];
-  for (const geom::DefectView d : g.defects()) {
-    const int plane = geom::plane_of(d.type);
-    for (const geom::Segment& s : d.segments) {
-      const Vec3 d3 = s.b - s.a;
-      const Vec3 step{d3.x > 0 ? 1 : d3.x < 0 ? -1 : 0,
-                      d3.y > 0 ? 1 : d3.y < 0 ? -1 : 0,
-                      d3.z > 0 ? 1 : d3.z < 0 ? -1 : 0};
-      Vec3 p = s.a;
-      while (true) {
-        planes[plane].insert(p);
-        if (p == s.b) break;
-        p = p + step;
-      }
-    }
-  }
-  return static_cast<std::int64_t>(planes[0].size() + planes[1].size());
-}
-
 // ---------------------------------------------------------------------------
 // The measured path: validate every window geometry, stitch the seams,
-// then take the canonical exact cell count of the stitched result — grid
-// engine vs hash-set reference on identical inputs.
-// grid = state.range(0): 1 = bit-grid engine, 0 = reference.
+// then take the canonical exact cell count of the stitched result.
 
 void BM_GeomPath(benchmark::State& state) {
   const WindowFixture& f = window_fixture();
-  const bool use_grid = state.range(0) != 0;
-  geom::ValidateOptions vopt;
-  vopt.use_grid = use_grid;
-  geom::StitchOptions sopt;
-  sopt.use_grid = use_grid;
   bool ok = true;
   std::int64_t seam_cells = 0, grid_bytes = 0, cells = 0;
   for (auto _ : state) {
     for (const geom::GeomDescription& g : f.geoms)
-      ok = ok && geom::validate(g, vopt).ok();
-    geom::StitchResult r = geom::stitch_windows(f.windows, f.name, sopt);
+      ok = ok && geom::validate(g).ok();
+    geom::StitchResult r = geom::stitch_windows(f.windows, f.name);
     ok = ok && r.ok();
     seam_cells = r.seam_cells;
     grid_bytes = r.grid_bytes;
-    cells = use_grid ? r.geometry.exact_cell_count()
-                     : hash_exact_cell_count(r.geometry);
+    cells = r.geometry.exact_cell_count();
     benchmark::DoNotOptimize(cells);
   }
   if (stats_wanted()) {
@@ -237,8 +202,7 @@ void BM_GeomPath(benchmark::State& state) {
     entry += ok ? "true" : "false";
     entry += ", \"seam_cells\": " + std::to_string(seam_cells);
     entry += ", \"grid_bytes\": " + std::to_string(grid_bytes) + "}";
-    report_stats(
-        "BM_GeomPath/grid:" + std::to_string(use_grid ? 1 : 0), entry);
+    report_stats("BM_GeomPath", entry);
   }
   state.counters["ok"] = ok ? 1 : 0;
   state.counters["cells"] = static_cast<double>(cells);
@@ -247,19 +211,13 @@ void BM_GeomPath(benchmark::State& state) {
   state.counters["peak_rss_mib"] =
       static_cast<double>(trace::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_GeomPath)
-    ->ArgNames({"grid"})
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_GeomPath)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Perf-trajectory rows for BENCH_geom.json: grid vs hash wall (and the
-// process peak-RSS gauge) for validate + canonical exact count on the two
-// tracked workloads — a paper benchmark and the deep layered circuit.
-// workload = state.range(0): 0 = ham15_107, 1 = long_16x128_t1_c3;
-// grid = state.range(1).
+// Perf-trajectory rows for BENCH_geom.json: wall time (and the process
+// peak-RSS gauge) of validate + canonical exact count on the two tracked
+// workloads — a paper benchmark and the deep layered circuit.
+// workload = state.range(0): 0 = ham15_107, 1 = long_16x128_t1_c3.
 
 const geom::GeomDescription& workload_geometry(int which) {
   static const geom::GeomDescription geoms[2] = {
@@ -287,14 +245,11 @@ const geom::GeomDescription& workload_geometry(int which) {
 void BM_ValidateCount(benchmark::State& state) {
   const geom::GeomDescription& g =
       workload_geometry(static_cast<int>(state.range(0)));
-  const bool use_grid = state.range(1) != 0;
-  geom::ValidateOptions vopt;
-  vopt.use_grid = use_grid;
   bool ok = true;
   std::int64_t cells = 0;
   for (auto _ : state) {
-    ok = ok && geom::validate(g, vopt).ok();
-    cells = use_grid ? g.exact_cell_count() : hash_exact_cell_count(g);
+    ok = ok && geom::validate(g).ok();
+    cells = g.exact_cell_count();
     benchmark::DoNotOptimize(cells);
   }
   state.counters["ok"] = ok ? 1 : 0;
@@ -304,11 +259,9 @@ void BM_ValidateCount(benchmark::State& state) {
       static_cast<double>(trace::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_ValidateCount)
-    ->ArgNames({"workload", "grid"})
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({1, 0})
+    ->ArgNames({"workload"})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

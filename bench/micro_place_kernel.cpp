@@ -1,12 +1,9 @@
-// Google-benchmark A/B of the SA placer's packing kernel and tempering
-// schedule (ISSUE/PR: incremental contour packing + deterministic parallel
-// tempering):
+// Google-benchmark coverage of the SA placer's packing kernel and
+// tempering schedule:
 //
-//   PlacePack/{full,incremental}   whole-placement time with whole-layer
-//                                  repacking on every move vs the dirty-
-//                                  suffix incremental pack, single chain —
-//                                  isolates the packing-kernel swap
-//                                  (results are bit-identical either way);
+//   PlacePack                      whole-placement time of the single-
+//                                  chain annealer with the dirty-suffix
+//                                  incremental pack;
 //   PlaceThreads/N                 4-replica parallel tempering at N
 //                                  worker threads (the CI bench-smoke
 //                                  sweep; wall-clock gains need real
@@ -71,7 +68,6 @@ void run_place(benchmark::State& state, const place::PlaceOptions& opt) {
 void BM_PlacePack(benchmark::State& state) {
   place::PlaceOptions opt;
   opt.seed = 7;
-  opt.full_pack = state.range(0) == 0;
   opt.threads = 1;
   run_place(state, opt);
 }
@@ -86,11 +82,7 @@ void BM_PlaceThreads(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_PlacePack)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"incremental"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlacePack)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlaceThreads)
     ->Arg(1)
     ->Arg(2)

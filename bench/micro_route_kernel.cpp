@@ -1,23 +1,13 @@
-// Google-benchmark A/B of the router's search kernel and negotiation
-// schedule (ISSUE/PR: bucket-queue search kernel + batched negotiation):
+// Google-benchmark coverage of the router's search kernel and negotiation
+// schedule:
 //
-//   RouteKernel/{bucket,heap}        whole-routing time with the monotone
-//                                    bucket (Dial) open list vs the binary
-//                                    heap, serial schedule — isolates the
-//                                    open-list swap (satellite A/B);
-//   RouteSchedule/{serial,batched}   classic one-net-at-a-time vs the
-//                                    disjoint-region batched schedule at
-//                                    threads=1 — isolates schedule
-//                                    overhead;
+//   RouteKernel                      whole-routing time at threads=1 (bucket
+//                                    open list, batched schedule,
+//                                    lookahead, warm windows);
 //   RouteThreads/N                   batched schedule at N worker threads
 //                                    (the CI bench-smoke sweep; wall-clock
 //                                    gains need real cores, results are
 //                                    bit-identical regardless);
-//   RouteLookahead/{off,on}          classic searches vs the seed-closure
-//                                    reachability lookahead (identical
-//                                    routes by construction — the A/B
-//                                    isolates its map-build plus
-//                                    per-connect lookup overhead);
 //   RouteWarmStart/{cold,warm}       cold negotiation vs one warmed by the
 //                                    NegotiationMemory a prior run of the
 //                                    same problem exported (the
@@ -93,15 +83,6 @@ void run_route(benchmark::State& state, const route::RouteOptions& opt) {
 
 void BM_RouteKernel(benchmark::State& state) {
   route::RouteOptions opt;
-  opt.bucket_queue = state.range(0) != 0;
-  opt.serial_schedule = true;  // isolate the open-list swap
-  opt.threads = 1;
-  run_route(state, opt);
-}
-
-void BM_RouteSchedule(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.serial_schedule = state.range(0) == 0;
   opt.threads = 1;
   run_route(state, opt);
 }
@@ -109,13 +90,6 @@ void BM_RouteSchedule(benchmark::State& state) {
 void BM_RouteThreads(benchmark::State& state) {
   route::RouteOptions opt;
   opt.threads = static_cast<int>(state.range(0));
-  run_route(state, opt);
-}
-
-void BM_RouteLookahead(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.lookahead = state.range(0) != 0;
-  opt.threads = 1;
   run_route(state, opt);
 }
 
@@ -146,26 +120,12 @@ void BM_RouteWarmStart(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_RouteKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"bucket"})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteSchedule)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"batched"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteKernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RouteThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteLookahead)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"lookahead"})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RouteWarmStart)
     ->Arg(0)

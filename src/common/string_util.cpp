@@ -6,7 +6,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/error.h"
 
@@ -96,6 +95,10 @@ std::optional<T> from_chars_all(std::string_view text) {
 
 }  // namespace
 
+std::optional<int> try_parse_int(std::string_view text) {
+  return from_chars_all<int>(text);
+}
+
 std::optional<std::int64_t> try_parse_i64(std::string_view text) {
   return from_chars_all<std::int64_t>(text);
 }
@@ -125,11 +128,9 @@ std::optional<double> try_parse_double(std::string_view text) {
 }
 
 int parse_int(std::string_view text, std::string_view what) {
-  const auto v = try_parse_i64(text);
-  if (!v || *v < std::numeric_limits<int>::min() ||
-      *v > std::numeric_limits<int>::max())
-    parse_throw(what, "an integer", text);
-  return static_cast<int>(*v);
+  const auto v = try_parse_int(text);
+  if (!v) parse_throw(what, "an integer", text);
+  return *v;
 }
 
 std::int64_t parse_i64(std::string_view text, std::string_view what) {

@@ -44,6 +44,8 @@ std::string with_commas(long long value);
 // whitespace is accepted; leading '+' is not (matching strtol-free
 // from_chars semantics, and no input format here uses it).
 
+/// Parse a signed int; nullopt on malformed text or a value outside int.
+std::optional<int> try_parse_int(std::string_view text);
 /// Parse a signed 64-bit integer; nullopt on malformed/overflow.
 std::optional<std::int64_t> try_parse_i64(std::string_view text);
 /// Parse an unsigned 64-bit integer; nullopt on malformed/overflow/sign.

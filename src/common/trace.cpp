@@ -16,6 +16,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace tqec::trace {
@@ -102,32 +103,6 @@ unsigned env_surfaces() {
   if (parse_env_enabled("TQEC_FLIGHT", std::getenv("TQEC_FLIGHT")))
     mask |= detail::kSurfaceFlight;
   return mask;
-}
-
-/// JSON string escaping for the chrome export (control characters become
-/// \uXXXX so multi-line details survive a round-trip).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -364,7 +339,7 @@ std::string chrome_trace_json() {
   for (const auto& buffer : c.buffers) {
     const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
     for (const TraceEvent& e : buffer->events) {
-      os << ",\n  {\"name\": \"" << json_escape(e.name)
+      os << ",\n  {\"name\": \"" << json::escape(e.name)
          << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << buffer->tid;
       std::snprintf(num, sizeof num, "%.3f",
                     static_cast<double>(e.start_ns) / 1000.0);
@@ -373,7 +348,7 @@ std::string chrome_trace_json() {
                     static_cast<double>(e.dur_ns) / 1000.0);
       os << ", \"dur\": " << num;
       if (!e.detail.empty())
-        os << ", \"args\": {\"detail\": \"" << json_escape(e.detail) << "\"}";
+        os << ", \"args\": {\"detail\": \"" << json::escape(e.detail) << "\"}";
       os << "}";
     }
   }

@@ -9,7 +9,9 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "common/clock.h"
 #include "common/error.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -20,12 +22,6 @@
 namespace tqec::core {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 #ifndef NDEBUG
 // Defect::cell_count() double-counts cells where segments overlap (shared
@@ -507,30 +503,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6f", v);
@@ -580,7 +552,7 @@ std::string stats_json(const CompileResult& result) {
   std::ostringstream os;
   os << "{\n"
      << "  \"stats_version\": 2,\n"
-     << "  \"name\": \"" << json_escape(result.name) << "\",\n"
+     << "  \"name\": \"" << json::escape(result.name) << "\",\n"
      << "  \"volume\": " << result.volume << ",\n"
      << "  \"canonical_volume\": " << result.canonical_volume << ",\n"
      << "  \"legal\": " << (result.routed_legal ? "true" : "false") << ",\n"
@@ -694,7 +666,7 @@ std::string stats_json(const CompileResult& result) {
        << ", \"z\": " << h.cell.z << ", \"usage\": " << h.usage
        << ", \"capacity\": " << h.capacity << "}";
   }
-  os << "], \"heatmap\": \"" << json_escape(routing.congestion_heatmap)
+  os << "], \"heatmap\": \"" << json::escape(routing.congestion_heatmap)
      << "\"},\n";
 
   // Time-axis sharding record (additive in v2; enabled=false defaults for
@@ -716,7 +688,7 @@ std::string stats_json(const CompileResult& result) {
   os << ", \"issues\": [";
   for (std::size_t i = 0; i < sh.issues.size(); ++i) {
     if (i > 0) os << ", ";
-    os << "\"" << json_escape(sh.issues[i]) << "\"";
+    os << "\"" << json::escape(sh.issues[i]) << "\"";
   }
   os << "]},\n";
 
@@ -733,9 +705,9 @@ std::string stats_json(const CompileResult& result) {
   // single-shot CLI path, filled in by the tqec::Compiler facade).
   const CacheUsage& c = result.cache;
   os << "  \"cache\": {\"enabled\": " << (c.enabled ? "true" : "false")
-     << ", \"decompose\": \"" << json_escape(c.decompose) << "\""
-     << ", \"icm\": \"" << json_escape(c.icm) << "\""
-     << ", \"pd_graph\": \"" << json_escape(c.pd_graph) << "\""
+     << ", \"decompose\": \"" << json::escape(c.decompose) << "\""
+     << ", \"icm\": \"" << json::escape(c.icm) << "\""
+     << ", \"pd_graph\": \"" << json::escape(c.pd_graph) << "\""
      << ", \"hits\": " << c.hits << ", \"misses\": " << c.misses
      << ", \"entries\": " << c.entries << ", \"bytes\": " << c.bytes
      << ", \"budget\": " << c.budget << ", \"evictions\": " << c.evictions
@@ -748,7 +720,7 @@ std::string stats_json(const CompileResult& result) {
     for (const auto& [name, value] : result.metrics.counters) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(name) << "\": " << value;
+      os << "\"" << json::escape(name) << "\": " << value;
     }
   }
   os << "}, \"gauges\": {";
@@ -757,7 +729,7 @@ std::string stats_json(const CompileResult& result) {
     for (const auto& [name, value] : result.metrics.gauges) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(name) << "\": " << json_double(value);
+      os << "\"" << json::escape(name) << "\": " << json_double(value);
     }
   }
   os << "}, \"series\": {";
@@ -766,7 +738,7 @@ std::string stats_json(const CompileResult& result) {
     for (const trace::SeriesChannel& s : result.metrics.series) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(s.name) << "\": {\"x\": ";
+      os << "\"" << json::escape(s.name) << "\": {\"x\": ";
       emit_number_array(os, s.x);
       os << ", \"y\": ";
       emit_number_array(os, s.y);
@@ -779,7 +751,7 @@ std::string stats_json(const CompileResult& result) {
     for (const trace::HistogramSnapshot& h : result.metrics.histograms) {
       if (!first) os << ", ";
       first = false;
-      os << "\"" << json_escape(h.name) << "\": ";
+      os << "\"" << json::escape(h.name) << "\": ";
       emit_histogram(os, h);
     }
   }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
@@ -20,12 +21,6 @@
 namespace tqec {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Canonical text of a Clifford+T circuit, the ICM-stage cache key input.
 /// The name is included because ICM outputs embed it (write_icm round-trips

@@ -1,10 +1,8 @@
 #include "core/shard.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -12,7 +10,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -28,12 +28,6 @@ namespace tqec::core {
 namespace {
 
 namespace fs = std::filesystem;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // ---------------------------------------------------------------------------
 // Window outcome: the slim per-window record kept across the shard run.
@@ -82,16 +76,12 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|p.iters=" << p.iterations << "|p.effort=" << p.effort
      << "|p.t0=" << p.t0_fraction << "|p.cool=" << p.cooling
      << "|p.batch=" << p.batch << "|p.ygap=" << p.layer_y_gap
-     << "|p.replicas=" << p.replicas << "|p.stagger=" << p.replica_stagger
-     << "|p.fullpack=" << p.full_pack;
+     << "|p.replicas=" << p.replicas << "|p.stagger=" << p.replica_stagger;
   const route::RouteOptions& r = o.route;
   os << "|r.margin=" << r.margin << "|r.maxit=" << r.max_iterations
      << "|r.hist=" << r.history_increment << "|r.pbase=" << r.present_base
      << "|r.pgrow=" << r.present_growth << "|r.pmax=" << r.present_max
-     << "|r.incr=" << r.incremental << "|r.stall=" << r.stall_sweeps
-     << "|r.region=" << r.region_margin << "|r.serial=" << r.serial_schedule
-     << "|r.bucket=" << r.bucket_queue << "|r.look=" << r.lookahead
-     << "|r.windows=" << r.windows << "|r.warm=" << r.warm_start;
+     << "|r.region=" << r.region_margin << "|r.warm=" << r.warm_start;
   os << "|shard.window=" << shard.window << "|shard.gap=" << shard.seam_gap;
   return os.str();
 }
@@ -203,36 +193,20 @@ class CheckpointReader {
   std::istream& in_;
 };
 
-bool parse_int(const std::string& s, std::int64_t& out) {
-  const auto v = try_parse_i64(s);
-  if (!v) return false;
-  out = *v;
+/// Store a checked parse (common/string_util) into `out`; false when the
+/// token was malformed, out of the field's range, or — for doubles — not
+/// finite, so a corrupt record fails soft instead of loading garbage.
+template <typename T>
+bool take(std::optional<T> parsed, T& out) {
+  if (!parsed) return false;
+  out = *parsed;
   return true;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
-/// Full-range u64 parse (attempt seeds are splitmix64 outputs, which
-/// routinely exceed int64's range).
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
 }
 
 bool parse_vec3(const std::vector<std::string>& t, std::size_t at, Vec3& v) {
-  std::int64_t x, y, z;
-  if (t.size() < at + 3 || !parse_int(t[at], x) || !parse_int(t[at + 1], y) ||
-      !parse_int(t[at + 2], z))
-    return false;
-  v = {static_cast<int>(x), static_cast<int>(y), static_cast<int>(z)};
-  return true;
+  return t.size() >= at + 3 && take(try_parse_int(t[at]), v.x) &&
+         take(try_parse_int(t[at + 1]), v.y) &&
+         take(try_parse_int(t[at + 2]), v.z);
 }
 
 std::optional<WindowOutcome> read_checkpoint(std::istream& in,
@@ -254,7 +228,7 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
 
   while (reader.next(t)) {
     const std::string& kw = t[0];
-    std::int64_t i1 = 0, i2 = 0;
+    int i1 = 0, i2 = 0;
     if (kw == "tqecck") {
       if (t.size() < 2 || t[1] != "1") return std::nullopt;
       header = true;
@@ -264,63 +238,58 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
       if (t.size() != 2 || t[1] != digest) return std::nullopt;
       digest_ok = true;
     } else if (kw == "window") {
-      if (t.size() != 3 || !parse_int(t[1], i1) || !parse_int(t[2], i2) ||
-          i1 != index || i2 != total)
+      if (t.size() != 3 || !take(try_parse_int(t[1]), i1) ||
+          !take(try_parse_int(t[2]), i2) || i1 != index || i2 != total)
         return std::nullopt;
     } else if (kw == "legal") {
-      if (t.size() != 2 || !parse_int(t[1], i1)) return std::nullopt;
+      if (t.size() != 2 || !take(try_parse_int(t[1]), i1))
+        return std::nullopt;
       o.legal = i1 != 0;
     } else if (kw == "volume") {
-      if (t.size() != 3 || !parse_int(t[1], o.volume) ||
-          !parse_int(t[2], o.canonical_volume))
+      if (t.size() != 3 || !take(try_parse_i64(t[1]), o.volume) ||
+          !take(try_parse_i64(t[2]), o.canonical_volume))
         return std::nullopt;
     } else if (kw == "counts") {
-      std::int64_t v[6];
+      int* c[6] = {&o.modules, &o.nodes, &o.ishape_merges,
+                   &o.primal_bridges, &o.dual_bridges, &o.net_components};
       if (t.size() != 7) return std::nullopt;
-      for (int i = 0; i < 6; ++i)
-        if (!parse_int(t[static_cast<std::size_t>(i) + 1], v[i]))
-          return std::nullopt;
-      o.modules = static_cast<int>(v[0]);
-      o.nodes = static_cast<int>(v[1]);
-      o.ishape_merges = static_cast<int>(v[2]);
-      o.primal_bridges = static_cast<int>(v[3]);
-      o.dual_bridges = static_cast<int>(v[4]);
-      o.net_components = static_cast<int>(v[5]);
+      for (std::size_t i = 0; i < 6; ++i)
+        if (!take(try_parse_int(t[i + 1]), *c[i])) return std::nullopt;
     } else if (kw == "timings") {
       double* d[8] = {&o.pd_graph_s, &o.ishape_s, &o.primal_bridge_s,
                       &o.dual_bridge_s, &o.place_s, &o.route_s,
                       &o.place_route_wall_s, &o.total_s};
       if (t.size() != 9) return std::nullopt;
-      for (int i = 0; i < 8; ++i)
-        if (!parse_double(t[static_cast<std::size_t>(i) + 1], *d[i]))
-          return std::nullopt;
+      for (std::size_t i = 0; i < 8; ++i)
+        if (!take(try_parse_double(t[i + 1]), *d[i])) return std::nullopt;
     } else if (kw == "attempt") {
-      std::uint64_t seed = 0;
-      std::int64_t volume = 0, legal = 0, y_gap = 0;
-      if (t.size() != 7 || !parse_u64(t[1], seed) ||
-          !parse_int(t[2], volume) || !parse_int(t[3], legal) ||
-          !parse_int(t[4], y_gap) || !parse_double(t[5], o.selected.place_s) ||
-          !parse_double(t[6], o.selected.route_s))
+      // Attempt seeds are splitmix64 outputs: full u64 range.
+      PlaceAttemptStats& a = o.selected;
+      if (t.size() != 7 || !take(try_parse_u64(t[1]), a.seed) ||
+          !take(try_parse_i64(t[2]), a.volume) ||
+          !take(try_parse_int(t[3]), i1) ||
+          !take(try_parse_int(t[4]), a.y_gap) ||
+          !take(try_parse_double(t[5]), a.place_s) ||
+          !take(try_parse_double(t[6]), a.route_s))
         return std::nullopt;
-      o.selected.seed = seed;
-      o.selected.volume = volume;
-      o.selected.legal = legal != 0;
-      o.selected.selected = true;
-      o.selected.y_gap = static_cast<int>(y_gap);
+      a.legal = i1 != 0;
+      a.selected = true;
     } else if (kw == "carry_in" || kw == "carry_out") {
       Vec3 cell;
-      if (t.size() != 5 || !parse_int(t[1], i1) || !parse_vec3(t, 2, cell))
+      if (t.size() != 5 || !take(try_parse_int(t[1]), i1) ||
+          !parse_vec3(t, 2, cell))
         return std::nullopt;
       auto& dst = kw == "carry_in" ? o.carry_in : o.carry_out;
-      dst.emplace_back(static_cast<int>(i1), cell);
+      dst.emplace_back(i1, cell);
     } else if (kw == "defect") {
       if (defect_open && segs_read != segs_expected) return std::nullopt;
       if (t.size() != 4 || (t[1] != "p" && t[1] != "d") ||
-          !parse_int(t[2], i1) || !parse_int(t[3], i2) || i2 < 0)
+          !take(try_parse_int(t[2]), i1) || !take(try_parse_int(t[3]), i2) ||
+          i2 < 0)
         return std::nullopt;
       rebuilt.begin_defect(t[1] == "p" ? geom::DefectType::Primal
                                        : geom::DefectType::Dual,
-                           static_cast<int>(i1));
+                           i1);
       defect_open = true;
       segs_expected = static_cast<std::size_t>(i2);
       segs_read = 0;
@@ -334,18 +303,17 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
     } else if (kw == "box") {
       geom::DistillBox b;
       if (t.size() != 6 || (t[1] != "y" && t[1] != "a") ||
-          !parse_vec3(t, 2, b.origin) || !parse_int(t[5], i1))
+          !parse_vec3(t, 2, b.origin) || !take(try_parse_int(t[5]), b.line))
         return std::nullopt;
       b.kind = t[1] == "y" ? geom::BoxKind::YBox : geom::BoxKind::ABox;
-      b.line = static_cast<int>(i1);
       rebuilt.add_box(b);
     } else if (kw == "comp") {
       geom::ImComponent c;
-      if (t.size() != 6 || !parse_int(t[1], i1) || i1 < 0 || i1 > 5 ||
-          !parse_vec3(t, 2, c.position) || !parse_int(t[5], i2))
+      if (t.size() != 6 || !take(try_parse_int(t[1]), i1) || i1 < 0 ||
+          i1 > 5 || !parse_vec3(t, 2, c.position) ||
+          !take(try_parse_int(t[5]), c.defect_index))
         return std::nullopt;
       c.kind = static_cast<geom::ComponentKind>(i1);
-      c.defect_index = static_cast<int>(i2);
       ck_components.push_back(c);
     } else if (kw == "end") {
       ended = true;
@@ -399,25 +367,12 @@ void save_checkpoint(const fs::path& path, const std::string& digest,
   fs::rename(tmp, path, ec);
 }
 
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 void write_manifest(const fs::path& dir, const std::string& name,
                     const ShardOptions& shard, const ShardPlan& plan,
                     const std::vector<std::string>& digests) {
   std::ofstream out(dir / "manifest.json");
   if (!out) return;
-  out << "{\n  \"name\": \"" << json_escape_min(name) << "\",\n";
+  out << "{\n  \"name\": \"" << json::escape(name) << "\",\n";
   out << "  \"shard_window\": " << shard.window << ",\n";
   out << "  \"depth\": " << plan.depth << ",\n";
   out << "  \"windows\": [";

@@ -28,10 +28,9 @@ void for_each_cell(const Segment& s, Fn&& fn) {
   }
 }
 
-/// Occupancy + A* bookkeeping, reference flavor: the original node-based
-/// hash containers. Kept verbatim behind the policy interface so
-/// `StitchOptions.use_grid = false` reproduces the pre-grid engine
-/// bit-for-bit (A/B tests compare the two end to end).
+/// Occupancy + A* bookkeeping, hash flavor: node-based hash containers
+/// whose cost follows the cells touched, not the frame volume. The engine
+/// for frames too large for GridSpace's dense planes.
 class HashSpace {
  public:
   static constexpr bool kGrid = false;
@@ -259,7 +258,7 @@ struct StagedRec {
 
 /// The whole stitch, parameterized over the occupancy engine. Returns
 /// false when the engine declines the frame (grid too large) *before any
-/// work happened*, so the caller can rerun with the reference engine.
+/// work happened*, so the caller can rerun with the hash engine.
 template <typename Space>
 bool stitch_impl(const std::vector<StitchWindow>& windows,
                  const StitchOptions& options, Space& space,
@@ -572,14 +571,12 @@ StitchResult stitch_windows(const std::vector<StitchWindow>& windows,
   if (windows.empty()) return res;
   for (const StitchWindow& w : windows)
     TQEC_REQUIRE(w.geometry != nullptr, "stitch: window without geometry");
-  if (options.use_grid) {
-    GridSpace space;
-    if (stitch_impl(windows, options, space, res)) return res;
-    // Frame too large for the dense grid: fall back to the reference
-    // engine (which declined nothing and left `res` untouched).
-  }
-  HashSpace space;
-  stitch_impl(windows, options, space, res);
+  GridSpace grid;
+  if (stitch_impl(windows, options, grid, res)) return res;
+  // Frame too large for the dense grid: fall back to the hash engine (the
+  // grid declined before any work, leaving `res` untouched).
+  HashSpace hash;
+  stitch_impl(windows, options, hash, res);
   return res;
 }
 

@@ -63,17 +63,13 @@ struct StitchOptions {
   int seam_gap = 3;
   /// Extra y headroom added per retry when a seam path is blocked.
   int max_attempts = 4;
-  /// false: hash-set reference occupancy (A/B testing). The grid engine
-  /// keeps occupancy, pass-through cells, and the A* bookkeeping in dense
-  /// bit planes / scratch arrays (geom/cell_grid.h) and is bit-identical
-  /// to the reference on every input.
-  bool use_grid = true;
 };
 
 struct StitchResult {
   GeomDescription geometry;
   /// Occupancy-grid build cost (staging every window into the merged
-  /// frame); 0 for the hash reference engine.
+  /// frame); 0 when the frame was too large for the dense grid and the
+  /// hash-set engine carried the seams instead.
   double grid_build_s = 0;
   std::int64_t grid_bytes = 0;
   /// Seam paths carved (one per crossing line per cut).

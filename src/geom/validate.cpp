@@ -117,8 +117,7 @@ std::string ValidationReport::summary() const {
   return os.str();
 }
 
-ValidationReport validate(const GeomDescription& g,
-                          const ValidateOptions& options) {
+ValidationReport validate(const GeomDescription& g) {
   ValidationReport report;
   const auto fail = [&](const char* rule, const std::string& detail) {
     report.issues.push_back({rule, detail});
@@ -158,50 +157,34 @@ ValidationReport validate(const GeomDescription& g,
   // dual defects may share a cell that also hosts a primal defect — that
   // cell is a primal module loop, which is spatially extended and offers
   // one crossing slot per threading net (see route/router.h).
-  if (options.use_grid) {
-    const auto t0 = std::chrono::steady_clock::now();
-    Box3 bb;
-    for (const DefectView d : g.defects()) bb = bb.merged(d.bounding_box());
-    OccupancyGrid occ(bb, 2);
-    std::vector<Vec3> collisions;
-    const auto no_exempt = [](Vec3) { return false; };
-    const bool primal_conflict =
-        v3_grid_pass(g, DefectType::Primal, occ, collisions, no_exempt);
-    // A dual-dual shared cell is legal on a primal module loop itself or
-    // in its port region (the face-adjacent cells).
-    const auto grid_exempt = [&](Vec3 p) {
-      if (occ.test(kPrimalPlane, p)) return true;
-      for (const Vec3 step : {Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 1, 0},
-                              Vec3{0, -1, 0}, Vec3{0, 0, 1}, Vec3{0, 0, -1}})
-        if (occ.test(kPrimalPlane, p + step)) return true;
-      return false;
-    };
-    const bool dual_conflict =
-        !primal_conflict &&
-        v3_grid_pass(g, DefectType::Dual, occ, collisions, grid_exempt);
-    report.grid_build_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    report.grid_bytes = occ.byte_size();
-    if (primal_conflict || dual_conflict) {
-      // Conflict found: re-run the reference engine for both sublattices
-      // so issue text and order match it byte-for-byte (the primal map
-      // also feeds the dual pass's port-region test).
-      std::unordered_map<Vec3, int> primal_cells;
-      std::unordered_map<Vec3, int> dual_cells;
-      v3_reference_pass(g, DefectType::Primal, primal_cells,
-                        [](Vec3) { return false; }, fail);
-      const auto map_exempt = [&](Vec3 p) {
-        if (primal_cells.find(p) != primal_cells.end()) return true;
-        for (const Vec3 step :
-             {Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 1, 0}, Vec3{0, -1, 0},
-              Vec3{0, 0, 1}, Vec3{0, 0, -1}})
-          if (primal_cells.find(p + step) != primal_cells.end()) return true;
-        return false;
-      };
-      v3_reference_pass(g, DefectType::Dual, dual_cells, map_exempt, fail);
-    }
-  } else {
+  const auto t0 = std::chrono::steady_clock::now();
+  Box3 bb;
+  for (const DefectView d : g.defects()) bb = bb.merged(d.bounding_box());
+  OccupancyGrid occ(bb, 2);
+  std::vector<Vec3> collisions;
+  const auto no_exempt = [](Vec3) { return false; };
+  const bool primal_conflict =
+      v3_grid_pass(g, DefectType::Primal, occ, collisions, no_exempt);
+  // A dual-dual shared cell is legal on a primal module loop itself or
+  // in its port region (the face-adjacent cells).
+  const auto grid_exempt = [&](Vec3 p) {
+    if (occ.test(kPrimalPlane, p)) return true;
+    for (const Vec3 step : {Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 1, 0},
+                            Vec3{0, -1, 0}, Vec3{0, 0, 1}, Vec3{0, 0, -1}})
+      if (occ.test(kPrimalPlane, p + step)) return true;
+    return false;
+  };
+  const bool dual_conflict =
+      !primal_conflict &&
+      v3_grid_pass(g, DefectType::Dual, occ, collisions, grid_exempt);
+  report.grid_build_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  report.grid_bytes = occ.byte_size();
+  if (primal_conflict || dual_conflict) {
+    // Conflict found: re-run the hash-map reference pass over both
+    // sublattices, which reports every shared cell in input order (the
+    // primal map also feeds the dual pass's port-region test).
     std::unordered_map<Vec3, int> primal_cells;
     std::unordered_map<Vec3, int> dual_cells;
     v3_reference_pass(g, DefectType::Primal, primal_cells,

@@ -17,14 +17,11 @@
 //       the place for the distillation sub-circuit).
 // Cross-type sharing of a cell is legal (half-offset sublattices).
 //
-// Engines: the default V3 pass rasterizes each defect into a dense
-// bit-grid (geom/cell_grid.h) and inspects word-level collisions, so a
-// legal geometry never hashes a single Vec3. When a cross-defect
-// collision *is* detected, the pass re-runs the original hash-map
-// reference for that sublattice so the emitted issues (text and order)
-// are byte-identical to the reference engine. `ValidateOptions.use_grid
-// = false` forces the reference engine throughout — kept for A/B tests
-// and benchmarks.
+// Engine: the V3 pass rasterizes each defect into a dense bit-grid
+// (geom/cell_grid.h) and inspects word-level collisions, so a legal
+// geometry never hashes a single Vec3. When a cross-defect collision *is*
+// detected, the pass re-runs a hash-map reference over both sublattices,
+// which reports every shared cell in a fixed, input-ordered sequence.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +39,15 @@ struct ValidationIssue {
 
 struct ValidationReport {
   std::vector<ValidationIssue> issues;
-  /// Occupancy-grid build cost of the V3 pass (0 for the reference
-  /// engine); surfaced as the geom.grid_build_s / geom.grid_bytes gauges.
+  /// Occupancy-grid build cost of the V3 pass; surfaced as the
+  /// geom.grid_build_s / geom.grid_bytes gauges.
   double grid_build_s = 0;
   std::int64_t grid_bytes = 0;
   bool ok() const { return issues.empty(); }
   std::string summary() const;
 };
 
-struct ValidateOptions {
-  /// false: force the hash-map reference engine (A/B testing).
-  bool use_grid = true;
-};
-
-ValidationReport validate(const GeomDescription& g,
-                          const ValidateOptions& options = {});
+ValidationReport validate(const GeomDescription& g);
 
 /// Convenience: throws TqecError with the report summary when invalid.
 void validate_or_throw(const GeomDescription& g);

@@ -114,12 +114,10 @@ class BStarTree {
   PackResult pack(FootprintFn&& footprint) const;
 
   /// Incrementally repack everything at or after the dirty watermark and
-  /// return the delta (valid until the next call). `force_full` repacks
-  /// the entire tree (the --place-full-pack escape hatch); the result is
-  /// identical either way, only the delta's extent differs.
+  /// return the delta (valid until the next call). The first call on a
+  /// fresh tree packs every node.
   template <typename FootprintFn>
-  const PackDelta& pack_update(FootprintFn&& footprint,
-                               bool force_full = false);
+  const PackDelta& pack_update(FootprintFn&& footprint);
 
   /// Cached coordinates from the last `pack_update()` (which must have
   /// left the tree clean — no mutations since).
@@ -294,8 +292,7 @@ PackResult BStarTree::pack(FootprintFn&& footprint) const {
 }
 
 template <typename FootprintFn>
-const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint,
-                                                   bool force_full) {
+const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint) {
   delta_.repacked.clear();
   const int n = size();
   if (root_ < 0) {
@@ -306,7 +303,7 @@ const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint,
     pack_valid_ = true;
     return delta_;
   }
-  int from = (!pack_valid_ || force_full) ? 0 : dirty_from_;
+  const int from = pack_valid_ ? dirty_from_ : 0;
   if (from == kClean) {
     // Nothing changed since the last pack; extents stay cached.
     delta_.width = width_;

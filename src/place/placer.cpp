@@ -165,8 +165,8 @@ class Chain {
   /// plane-coordinate cache, collecting the nodes whose cells moved.
   void repack(int layer) {
     BStarTree& tree = layers_[static_cast<std::size_t>(layer)];
-    const BStarTree::PackDelta& delta = tree.pack_update(
-        [this](int item) { return footprint(item); }, opt_.full_pack);
+    const BStarTree::PackDelta& delta =
+        tree.pack_update([this](int item) { return footprint(item); });
     LayerCache& c = cache_[static_cast<std::size_t>(layer)];
     c.width = delta.width;
     c.depth = delta.depth;

@@ -77,9 +77,6 @@ struct PlaceOptions {
   /// decide (the compiler splits --jobs across attempts; plain
   /// place_modules treats 0 as 1). Bit-identical results for any value.
   int threads = 0;
-  /// Escape hatch: repack whole layers on every move instead of the dirty
-  /// suffix (A/B reference; results are bit-identical either way).
-  bool full_pack = false;
 };
 
 /// One SA convergence sample, taken at every temperature-batch boundary

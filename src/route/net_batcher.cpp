@@ -41,14 +41,8 @@ struct BatchIndex {
 }  // namespace
 
 BatchPlan plan_batches(const std::vector<int>& pending,
-                       const std::vector<Box3>& region_of, bool singletons) {
+                       const std::vector<Box3>& region_of) {
   BatchPlan plan;
-  if (singletons) {
-    plan.batches.reserve(pending.size());
-    for (const int c : pending) plan.batches.push_back({c});
-    return plan;
-  }
-
   std::vector<BatchIndex> batches;
   for (const int c : pending) {
     const Box3& region = region_of[static_cast<std::size_t>(c)];

@@ -4,11 +4,10 @@
 // Within one negotiation iteration the pending nets are partitioned into
 // batches such that any two nets of a batch have disjoint *declared
 // regions* (the net's pin bounding box inflated by the restricted-search
-// margin, widened to cover its warm search window when --route-windows is
-// on — the declared region always contains the cells the net's first
-// connect attempts may search). Nets of a batch route concurrently
-// against a read snapshot of
-// the fabric: because their searches are confined to disjoint cell sets,
+// margin, widened to cover its warm search window — the declared region
+// always contains the cells the net's first connect attempts may search).
+// Nets of a batch route concurrently against a read snapshot of the
+// fabric: because their searches are confined to disjoint cell sets,
 // each net's result is independent of its batch-mates and therefore equal
 // to what a serial execution of the same batch sequence would produce —
 // the schedule, and with it the routing result, never depends on the
@@ -36,10 +35,8 @@ struct BatchPlan {
 
 /// Partition `pending` (components in deterministic net order) into
 /// disjoint-region batches. `region_of[c]` is component c's declared
-/// region. With `singletons` every net gets its own batch — the classic
-/// serial PathFinder schedule (`--route-serial`), where each net routes
-/// against the fully up-to-date fabric.
+/// region.
 BatchPlan plan_batches(const std::vector<int>& pending,
-                       const std::vector<Box3>& region_of, bool singletons);
+                       const std::vector<Box3>& region_of);
 
 }  // namespace tqec::route

@@ -30,9 +30,20 @@ namespace {
 // Every decision (batch composition, commit order, conflict verdicts,
 // requeue order) is a pure function of the deterministic net order and
 // the fabric state at batch boundaries — never of the worker count — so
-// --route-threads=1 and --route-threads=N are bit-identical, and
-// --route-serial (singleton batches) reproduces the classic one-net-at-a-
-// time PathFinder schedule exactly.
+// --route-threads=1 and --route-threads=N are bit-identical.
+//
+// Incremental rip-up-and-reroute: from iteration 2 onward only nets that
+// occupy at least one overused cell are rerouted (in the same
+// deterministic net order as a full sweep), falling back to a full sweep
+// whenever the overused-cell count stalls — at most kStallSweeps times per
+// run. The first sweeps after a stall regularly shake out another
+// contested cell or two, but a negotiation still stuck after that
+// essentially never recovers by sweeping more (it needs hard-block repair
+// or a whitespace escalation), while every extra sweep rips up and
+// reroutes all nets. Converging runs never stall, so the budget cannot
+// change their result.
+constexpr int kStallSweeps = 2;
+
 class Router {
  public:
   Router(const place::NodeSet& nodes, const place::Placement& placement,
@@ -72,8 +83,8 @@ class Router {
   /// twice the restricted-search margin (the extra margin absorbs the
   /// tree-box growth of multi-pin connects; escapes beyond it are caught
   /// at commit). Access cells sit face-adjacent to their pin, inside the
-  /// inflation. Under --route-windows the per-iteration declared region
-  /// additionally covers the net's current warm window.
+  /// inflation. The per-iteration declared region additionally covers the
+  /// net's current warm window.
   Box3 declared_region(int component) const {
     return pin_box(component).inflated(2 * opt_.region_margin);
   }
@@ -95,12 +106,9 @@ class Router {
   /// that is frozen during a batch's search phase.
   NetContext context_of(int component, const RoutedNet& current) const {
     NetContext ctx;
-    if (reach_map_.valid() &&
-        lookahead_maps_[static_cast<std::size_t>(component)].valid()) {
-      ctx.reach = &reach_map_;
-      ctx.lookahead = &lookahead_maps_[static_cast<std::size_t>(component)];
-    }
-    if (opt_.windows) ctx.window = window_of(component, current);
+    ctx.reach = &reach_map_;
+    ctx.lookahead = &lookahead_maps_[static_cast<std::size_t>(component)];
+    ctx.window = window_of(component, current);
     return ctx;
   }
 
@@ -134,12 +142,12 @@ class Router {
   int batch_epoch_ = 0;
   const NegotiationMemory* warm_;
   NegotiationMemory* memory_out_;
-  /// Shared build-time free-space labeling (empty when --route-lookahead=0)
-  /// plus each component's reachable-label set.
+  /// Shared build-time free-space labeling plus each component's
+  /// reachable-label set.
   ReachMap reach_map_;
   std::vector<LookaheadMap> lookahead_maps_;
-  /// Initial warm windows imported from NegotiationMemory (empty when cold
-  /// or --route-windows=0).
+  /// Initial warm windows imported from NegotiationMemory (empty when
+  /// cold).
   std::vector<Box3> warm_window_;
 };
 
@@ -148,7 +156,6 @@ class Router {
 /// state — this must run before the first repair hard block — so the
 /// per-component builds run freely in parallel.
 void Router::build_lookahead_maps(int components) {
-  if (!opt_.lookahead) return;
   reach_map_ = build_reach_map(fabric_);
   lookahead_maps_.assign(static_cast<std::size_t>(components), LookaheadMap{});
   parallel_for(static_cast<std::size_t>(components), threads_,
@@ -184,24 +191,22 @@ void Router::import_memory(RoutingResult& result, int components) {
     fabric_.history(i) = 0.5f * warm_->history[old_index(p)];
   }
 
-  if (opt_.windows) {
-    warm_window_.assign(static_cast<std::size_t>(components), Box3{});
-    for (int c = 0; c < components; ++c) {
-      const auto& slack = warm_->window_slack[static_cast<std::size_t>(c)];
-      if (slack[0] < 0) continue;  // component was unrouted last time
-      const Box3 pins = pin_box(c);
-      if (pins.empty()) continue;
-      Box3 w{{pins.lo.x - slack[1], pins.lo.y - slack[3], pins.lo.z - slack[5]},
-             {pins.hi.x + slack[0], pins.hi.y + slack[2],
-              pins.hi.z + slack[4]}};
-      w.lo = {std::max(w.lo.x, fabric_.box().lo.x),
-              std::max(w.lo.y, fabric_.box().lo.y),
-              std::max(w.lo.z, fabric_.box().lo.z)};
-      w.hi = {std::min(w.hi.x, fabric_.box().hi.x),
-              std::min(w.hi.y, fabric_.box().hi.y),
-              std::min(w.hi.z, fabric_.box().hi.z)};
-      warm_window_[static_cast<std::size_t>(c)] = w;
-    }
+  warm_window_.assign(static_cast<std::size_t>(components), Box3{});
+  for (int c = 0; c < components; ++c) {
+    const auto& slack = warm_->window_slack[static_cast<std::size_t>(c)];
+    if (slack[0] < 0) continue;  // component was unrouted last time
+    const Box3 pins = pin_box(c);
+    if (pins.empty()) continue;
+    Box3 w{{pins.lo.x - slack[1], pins.lo.y - slack[3], pins.lo.z - slack[5]},
+           {pins.hi.x + slack[0], pins.hi.y + slack[2],
+            pins.hi.z + slack[4]}};
+    w.lo = {std::max(w.lo.x, fabric_.box().lo.x),
+            std::max(w.lo.y, fabric_.box().lo.y),
+            std::max(w.lo.z, fabric_.box().lo.z)};
+    w.hi = {std::min(w.hi.x, fabric_.box().hi.x),
+            std::min(w.hi.y, fabric_.box().hi.y),
+            std::min(w.hi.z, fabric_.box().hi.z)};
+    warm_window_[static_cast<std::size_t>(c)] = w;
   }
 }
 
@@ -290,10 +295,9 @@ RoutingResult Router::run() {
   }
 
   // Base declared regions are a function of the (fixed) pin placement
-  // only: compute them once. Under --route-windows the effective region
-  // additionally covers the net's current warm window (recomputed per
-  // iteration below), since that is where its warm first attempt may
-  // search.
+  // only: compute them once. The effective region additionally covers the
+  // net's current warm window (recomputed per iteration below), since that
+  // is where its warm first attempt may search.
   std::vector<Box3> base_regions(static_cast<std::size_t>(components));
   for (int c = 0; c < components; ++c)
     base_regions[static_cast<std::size_t>(c)] = declared_region(c);
@@ -302,7 +306,7 @@ RoutingResult Router::run() {
   double present_factor = opt_.present_base;
   int stall = 0;
   int prev_overused = -1;
-  int stall_sweeps_left = opt_.stall_sweeps;
+  int sweeps_left = kStallSweeps;
   trace::Span negotiation_span("route.negotiate");
   // Nets to rip up and reroute this iteration; iteration 1 routes all.
   std::vector<std::uint8_t> dirty(static_cast<std::size_t>(components), 1);
@@ -316,20 +320,15 @@ RoutingResult Router::run() {
     pending.clear();
     for (int c : order)
       if (dirty[static_cast<std::size_t>(c)]) pending.push_back(c);
-    if (opt_.windows) {
-      // A pending net's warm first attempt searches within its window:
-      // declare that box too so batch-mates stay disjoint from it.
-      for (const int c : pending) {
-        const Box3 w =
-            window_of(c, result.nets[static_cast<std::size_t>(c)]);
-        regions[static_cast<std::size_t>(c)] =
-            w.empty() ? base_regions[static_cast<std::size_t>(c)]
-                      : base_regions[static_cast<std::size_t>(c)].merged(
-                            w.inflated(1));
-      }
+    // A pending net's warm first attempt searches within its window:
+    // declare that box too so batch-mates stay disjoint from it.
+    for (const int c : pending) {
+      const auto ci = static_cast<std::size_t>(c);
+      const Box3 w = window_of(c, result.nets[ci]);
+      regions[ci] = w.empty() ? base_regions[ci]
+                              : base_regions[ci].merged(w.inflated(1));
     }
-    const BatchPlan plan =
-        plan_batches(pending, regions, opt_.serial_schedule);
+    const BatchPlan plan = plan_batches(pending, regions);
 
     requeued.clear();
     for (const std::vector<int>& batch : plan.batches) {
@@ -439,13 +438,11 @@ RoutingResult Router::run() {
     if (stall >= 5) break;
     // Full-sweep fallback: rerouting only the contested nets stopped
     // making progress, so give every net a chance to move out of the way —
-    // up to the stall_sweeps budget; past it the run keeps to the
+    // up to the kStallSweeps budget; past it the run keeps to the
     // contested subset and lets the stall abort hand over to repair.
-    if (!opt_.incremental) {
+    if (stall > 0 && sweeps_left > 0) {
       std::fill(dirty.begin(), dirty.end(), 1);
-    } else if (stall > 0 && stall_sweeps_left != 0) {
-      std::fill(dirty.begin(), dirty.end(), 1);
-      if (stall_sweeps_left > 0) --stall_sweeps_left;
+      --sweeps_left;
     }
     TQEC_LOG_DEBUG("pathfinder iter " << iter + 1 << ": " << overused
                                       << " overused cells, " << reroutes

@@ -60,22 +60,6 @@ struct RouteOptions {
   double present_base = 2.0;
   double present_growth = 1.6;
   double present_max = 1e9;
-  /// Incremental rip-up-and-reroute: from iteration 2 onward only nets that
-  /// occupy at least one overused cell are rerouted (in the same
-  /// deterministic net order as a full sweep), falling back to a full sweep
-  /// whenever the overused-cell count stalls. Disable to force the classic
-  /// full rip-up of every net on every iteration.
-  bool incremental = true;
-  /// Budget of stall-triggered full-sweep fallbacks per negotiation run.
-  /// The first sweeps after a stall regularly shake out another contested
-  /// cell or two, but a negotiation that is still stuck after `stall_sweeps`
-  /// of them essentially never recovers by sweeping more — it either needs
-  /// hard-block repair or a whitespace escalation — while every extra
-  /// sweep rips up and reroutes all nets. Once the budget is spent, stalls
-  /// keep rerouting only the contested subset until the stall abort ends
-  /// the run. Converging runs never stall, so this budget cannot change
-  /// their result. Negative = unlimited (the classic schedule, for A/B).
-  int stall_sweeps = 2;
   /// Initial half-width of the restricted search region around a
   /// connection's bounding box; grows when a connection fails.
   int region_margin = 6;
@@ -86,31 +70,6 @@ struct RouteOptions {
   /// the caller decide (core::compile divides its `--jobs` budget across
   /// concurrent place+route attempts; plain route_nets treats 0 as 1).
   int threads = 0;
-  /// Classic serial PathFinder schedule (CLI `--route-serial`): every net
-  /// rips up and reroutes one at a time against the fully up-to-date
-  /// fabric — i.e. the batched schedule degenerated to singleton batches.
-  /// Escape hatch for A/B against the disjoint-region batched schedule.
-  bool serial_schedule = false;
-  /// Monotone bucket (Dial) open list in the A* kernel; disable to fall
-  /// back to the binary-heap open list (identical pop order to the
-  /// original std::priority_queue router — bench/micro_route_kernel.cpp
-  /// A/Bs the two).
-  bool bucket_queue = true;
-  /// Obstacle-aware A* lookahead (CLI `--route-lookahead`): one global
-  /// labeling of the fabric's free-space components (around distillation
-  /// boxes and module walls) plus each net's reachable-label set. Searches
-  /// prune cells that provably cannot reach the tree and fail doomed
-  /// connects with one lookup instead of flooding their region. Pruning
-  /// only removes provably dead work — pop order, g-values, and
-  /// tie-breaking of the live search are untouched — so routes are
-  /// bit-identical with the flag on or off (DESIGN.md §Routing gives the
-  /// argument).
-  bool lookahead = true;
-  /// Warm per-net search windows (CLI `--route-windows`): a net's first
-  /// connect attempt is restricted to its previous successful route's
-  /// bounding box (kept across negotiation iterations) before falling back
-  /// to the classic failure-inflated margin ladder.
-  bool windows = true;
   /// Warm-start negotiation across core::compile's restart attempts (CLI
   /// `--route-warm-start`): carry PathFinder history costs and final route
   /// windows from one attempt into the next via NegotiationMemory.
@@ -169,9 +128,7 @@ struct RoutingResult {
   // Batched-negotiation observability (see net_batcher.h). All three are
   // pure functions of the schedule, not of the worker count, so they are
   // identical for any --route-threads value.
-  /// Disjoint-region batches committed across all negotiation iterations
-  /// (== reroutes_total under --route-serial, where every batch is one
-  /// net).
+  /// Disjoint-region batches committed across all negotiation iterations.
   int batches = 0;
   /// Nets requeued because their committed path collided with a cell an
   /// earlier commit of the same batch had just filled to capacity (a
@@ -179,15 +136,14 @@ struct RoutingResult {
   /// retries).
   int conflicts_requeued = 0;
   /// Mean nets per batch: the spatial parallelism the batcher exposed, an
-  /// upper bound on the speedup any worker count can realize. 1.0 under
-  /// --route-serial.
+  /// upper bound on the speedup any worker count can realize.
   double parallel_efficiency = 0;
 
   // Lookahead / warm-window observability. Like the stats above, all of
   // these are summed per component in deterministic component order, so
   // they are identical for any --route-threads value.
   /// Components whose searches used the obstacle-aware lookahead at least
-  /// once (0 when --route-lookahead=0).
+  /// once.
   int lookahead_nets = 0;
   /// Warm-window connect attempts that succeeded within the previous
   /// route's bounding box vs. fell through to the classic margin ladder.

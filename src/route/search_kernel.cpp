@@ -138,10 +138,7 @@ LookaheadMap build_lookahead(const Fabric& fabric, const ReachMap& reach,
   LookaheadMap map;
   map.label_reachable.assign(static_cast<std::size_t>(reach.labels), 0);
   const auto& pins = nodes.net_pins[static_cast<std::size_t>(component)];
-  if (pins.empty()) {
-    map.built = true;
-    return map;
-  }
+  if (pins.empty()) return map;
 
   // Candidate bridge cells: the component's unblocked own pin cells (a
   // blocked pin gets no own-pin overlay in route_one_net either, so
@@ -206,7 +203,6 @@ LookaheadMap build_lookahead(const Fabric& fabric, const ReachMap& reach,
   }
   for (std::size_t k = 0; k < own.size(); ++k)
     if (pin_reached[k]) map.own.push_back(own[k]);
-  map.built = true;
   return map;
 }
 
@@ -225,50 +221,21 @@ float heuristic(Vec3 p, const Box3& tree_box) {
                             axis(p.z, tree_box.lo.z, tree_box.hi.z));
 }
 
-/// Lookahead view for the net being routed: the component's seed closure
-/// (see LookaheadMap). Consulted once per connect, for the source cell —
-/// a source outside the closure provably cannot reach the tree, a source
-/// inside it runs the exact classic search (it can never expand a cell
-/// outside the closure, so there is nothing to prune per cell).
-struct TreeLookahead {
-  const ReachMap* reach = nullptr;
-  const LookaheadMap* map = nullptr;
-  bool valid = false;
-};
-
-struct BucketOpenList {
-  BucketQueue& q;
-  void push(float f, float g, std::uint32_t cell) {
-    q.push(static_cast<std::int64_t>(f), g, cell);
-  }
-  bool empty() const { return q.empty(); }
-  BucketQueue::Entry pop() { return q.pop(); }
-};
-
-struct HeapOpenList {
-  HeapQueue& q;
-  void push(float f, float g, std::uint32_t cell) { q.push(f, g, cell); }
-  bool empty() const { return q.empty(); }
-  HeapQueue::Entry pop() { return q.pop(); }
-};
-
 /// Connect `source` to the partially built tree by A* restricted to
 /// `region` (computed by the caller: the warm window or a ladder rung).
 /// On success the backtracked path joins the tree (cells, box, tree
 /// marks). Neighbour admission is one mask read — the fabric's precomputed
-/// edge mask OR the per-net own-pin overlay — plus the region test; the
-/// open-list policy is the only templated piece: the bucket queue pops an
-/// integer-keyed lower bound (ties LIFO), the heap pops exact f order
-/// (ties in std::priority_queue's order).
-template <typename OpenList>
-bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
-             Vec3 source, const Box3& region, Box3& tree_box,
-             double present_factor, const TreeLookahead& tl,
-             SearchStats& stats) {
+/// edge mask OR the per-net own-pin overlay — plus the region test. The
+/// bucket queue pops the integer-keyed lower bound of f, ties LIFO. The
+/// lookahead (when `ctx` carries one) is consulted once per connect, for
+/// the source cell.
+bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
+             const Box3& region, Box3& tree_box, double present_factor,
+             const NetContext& ctx, SearchStats& stats) {
   const std::size_t source_idx = fabric.index(source);
   if (scratch.on_tree(source_idx)) return true;
 
-  if (tl.valid) {
+  if (ctx.lookahead != nullptr) {
     ++stats.lookahead_connects;
     // A source outside the seed's closure cannot reach the tree in ANY
     // region (the closure is global). Failing here skips the region-
@@ -276,12 +243,14 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
     // its ladder. A source inside the closure can never expand a cell
     // outside it (free runs are entered through own pins, all in the
     // closure), so this one lookup is the lookahead's entire runtime cost.
-    if (!tl.map->reachable(*tl.reach, source_idx)) return false;
+    if (!ctx.lookahead->reachable(*ctx.reach, source_idx)) return false;
   }
 
+  BucketQueue& open = scratch.open;
+  open.reset();
   scratch.begin_search();
   scratch.set_g(source_idx, 0.0f, -1);
-  open.push(heuristic(source, tree_box), 0.0f,
+  open.push(static_cast<std::int64_t>(heuristic(source, tree_box)), 0.0f,
             static_cast<std::uint32_t>(source_idx));
   ++stats.queue_pushes;
 
@@ -310,7 +279,7 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, OpenList open,
       const float ng = top.g + static_cast<float>(cost);
       if (scratch.seen(qi) && ng >= scratch.g[qi]) continue;
       scratch.set_g(qi, ng, dir);
-      open.push(ng + heuristic(q, tree_box), ng,
+      open.push(static_cast<std::int64_t>(ng + heuristic(q, tree_box)), ng,
                 static_cast<std::uint32_t>(qi));
       ++stats.queue_pushes;
     }
@@ -425,27 +394,13 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
   scratch.tree_cells.push_back(seed_idx);
   Box3 tree_box{entries[0].cell, entries[0].cell};
 
-  TreeLookahead tl;
-  if (options.lookahead && ctx.reach != nullptr && ctx.lookahead != nullptr &&
-      ctx.lookahead->valid()) {
-    tl.reach = ctx.reach;
-    tl.map = ctx.lookahead;
-    tl.valid = true;
-  }
-
   auto connect_once = [&](Vec3 target, const Box3& region) {
-    if (options.bucket_queue) {
-      scratch.bucket_queue.reset();
-      return connect(fabric, scratch, BucketOpenList{scratch.bucket_queue},
-                     target, region, tree_box, present_factor, tl, stats);
-    }
-    scratch.heap_queue.reset();
-    return connect(fabric, scratch, HeapOpenList{scratch.heap_queue}, target,
-                   region, tree_box, present_factor, tl, stats);
+    return connect(fabric, scratch, target, region, tree_box, present_factor,
+                   ctx, stats);
   };
   auto connect_with_retries = [&](Vec3 target) {
     if (scratch.on_tree(fabric.index(target))) return true;
-    if (options.windows && !ctx.window.empty()) {
+    if (!ctx.window.empty()) {
       // Warm attempt: the previous successful route's bounding box (plus
       // whatever the tree already grew to) is usually where the new route
       // fits too; fall through to the classic ladder when it does not.

@@ -8,10 +8,8 @@
 //       arrays) lives in a reusable per-worker SearchScratch, so the hot
 //       loop performs zero heap allocations after warm-up;
 //   (c) the open list is a monotone bucket (Dial) queue keyed on the
-//       integer lower bound of f — O(1) push/pop against the
-//       std::priority_queue's O(log n) — with the classic binary heap kept
-//       behind RouteOptions::bucket_queue for A/B benchmarking
-//       (bench/micro_route_kernel.cpp).
+//       integer lower bound of f — O(1) push/pop against a binary heap's
+//       O(log n).
 //
 // Thread-safety contract: during a batch's search phase every worker holds
 // a distinct SearchScratch and treats the Fabric as read-only; all fabric
@@ -163,8 +161,6 @@ class Fabric {
 struct ReachMap {
   std::vector<std::int32_t> label;  // per fabric cell, -1 = not free
   std::int32_t labels = 0;
-
-  bool valid() const { return !label.empty(); }
 };
 
 /// Label the fabric's build-time free space. Reads only build-time state
@@ -184,15 +180,13 @@ ReachMap build_reach_map(const Fabric& fabric);
 /// classic search would run — collapses to one lookup. A source inside
 /// the closure can, by the same maximality argument, never expand a cell
 /// outside it, so no per-cell pruning is needed (or possible): the live
-/// search is untouched and routes are bit-identical with the lookahead on
-/// or off (DESIGN.md §Routing gives the argument).
+/// search is untouched and routes are bit-identical to a search without
+/// the lookahead (DESIGN.md §Routing gives the argument).
 struct LookaheadMap {
   std::vector<std::uint8_t> label_reachable;  // indexed by ReachMap label
   /// Sorted fabric indices of the own pin cells inside the closure.
   std::vector<std::size_t> own;
-  bool built = false;
 
-  bool valid() const { return built; }
   /// True when a search for this component starting at fabric cell `fi`
   /// (free cell or own pin cell) could ever reach the tree.
   bool reachable(const ReachMap& reach, std::size_t fi) const {
@@ -294,41 +288,6 @@ class BucketQueue {
   bool primed_ = false;
 };
 
-/// Classic binary-heap open list over a reused backing vector. Push/pop
-/// use std::push_heap/std::pop_heap with the same f-only comparator the
-/// original std::priority_queue had, so pop order (ties included) matches
-/// the pre-bucket-queue router exactly; only the allocation churn is gone.
-class HeapQueue {
- public:
-  struct Entry {
-    float f;
-    float g;
-    std::uint32_t cell;
-  };
-
-  void reset() { heap_.clear(); }
-
-  void push(float f, float g, std::uint32_t cell) {
-    heap_.push_back({f, g, cell});
-    std::push_heap(heap_.begin(), heap_.end(), Greater{});
-  }
-
-  bool empty() const { return heap_.empty(); }
-
-  Entry pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Greater{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    return e;
-  }
-
- private:
-  struct Greater {
-    bool operator()(const Entry& a, const Entry& b) const { return a.f > b.f; }
-  };
-  std::vector<Entry> heap_;
-};
-
 /// A*-queue traffic of one or more searches; summed into the routing
 /// result on the negotiation thread in deterministic net order, so the
 /// totals are identical for any worker count.
@@ -352,13 +311,12 @@ struct SearchStats {
   }
 };
 
-/// Per-worker search scratch: open queues plus the g/parent/tree/extra-
+/// Per-worker search scratch: open queue plus the g/parent/tree/extra-
 /// mask stamp arrays. One instance per routing worker, reused across every
 /// search that worker runs; epoch stamps make per-search clears O(1) and
 /// the retained capacity makes them allocation-free.
 struct SearchScratch {
-  BucketQueue bucket_queue;
-  HeapQueue heap_queue;
+  BucketQueue open;
   std::vector<float> g;
   std::vector<int> g_version;
   std::vector<std::int8_t> parent;
@@ -411,9 +369,9 @@ struct SearchScratch {
 };
 
 /// Per-component routing context handed to route_one_net by the
-/// negotiation loop: the (optional) lookahead — shared reach map plus the
-/// component's label set — and the warm search window for the first
-/// connect attempt (empty box = cold, ladder only).
+/// negotiation loop: the lookahead — shared reach map plus the component's
+/// closure, both set or both null (no lookahead) — and the warm search
+/// window for the first connect attempt (empty box = cold, ladder only).
 struct NetContext {
   const ReachMap* reach = nullptr;
   const LookaheadMap* lookahead = nullptr;

@@ -4,10 +4,9 @@
 // --place-threads value, because replicas advance on private RNG streams
 // and every cross-replica decision (replica exchange, winner selection) is
 // made serially in ladder order, never in completion order. The suite
-// asserts that across thread counts {1, 2, 8} on real SA flows, plus the
-// --place-full-pack A/B identity (incremental contour packing must be a
-// pure optimization), exact-integer wirelength bookkeeping, and B*-tree
-// incremental-pack == full-pack over randomized perturbation sequences.
+// asserts that across thread counts {1, 2, 8} on real SA flows, plus
+// exact-integer wirelength bookkeeping and B*-tree incremental-pack ==
+// stateless full pack over randomized perturbation sequences.
 //
 // The threads=8 cases double as the TSan workload: the CI thread-sanitizer
 // job builds and runs this binary, so a data race between concurrently
@@ -79,8 +78,7 @@ TEST_P(BStarIncrementalOps, IncrementalPackMatchesFullPack) {
       tree.mark_item_dirty(*it);
     }
 
-    const bool force_full = step % 7 == 0;
-    const BStarTree::PackDelta& delta = tree.pack_update(footprint, force_full);
+    const BStarTree::PackDelta& delta = tree.pack_update(footprint);
     const PackResult full = tree.pack(footprint);
     ASSERT_EQ(delta.width, full.width) << "step " << step;
     ASSERT_EQ(delta.depth, full.depth) << "step " << step;
@@ -120,10 +118,6 @@ TEST(BStarIncrementalTest, SuffixDeltaIsProportionalToDisturbance) {
   EXPECT_TRUE(idle.repacked.empty());
   EXPECT_EQ(idle.width, 64);
   EXPECT_EQ(idle.depth, 1);
-  // force_full repacks everything but reports identical geometry.
-  const BStarTree::PackDelta& full = tree.pack_update(unit, true);
-  EXPECT_EQ(full.repacked.size(), 32u);
-  EXPECT_EQ(full.width, 64);
 }
 
 TEST(BStarIncrementalTest, EmptyTreePacksClean) {
@@ -208,13 +202,11 @@ void expect_identical_placement(const Placement& a, const Placement& b) {
   }
 }
 
-PlaceOptions options_with(std::uint64_t seed, int replicas, int threads,
-                          bool full_pack = false) {
+PlaceOptions options_with(std::uint64_t seed, int replicas, int threads) {
   PlaceOptions opt;
   opt.seed = seed;
   opt.replicas = replicas;
   opt.threads = threads;
-  opt.full_pack = full_pack;
   return opt;
 }
 
@@ -241,25 +233,6 @@ TEST(PlaceParallelTest, TemperingIdenticalAcrossThreadCounts) {
 TEST(PlaceParallelTest, SingleReplicaIdenticalAcrossThreadCounts) {
   const BuiltNodes built = workload_fixture(40, 60, 12, 6, 9);
   expect_thread_invariance(built.nodes, /*seed=*/9, /*replicas=*/1);
-}
-
-// Satellite A/B: incremental contour packing must be a pure optimization —
-// --place-full-pack repacks whole layers on every move yet lands on the
-// exact same placement, statistics, and convergence curves.
-TEST(PlaceParallelTest, FullPackMatchesIncrementalPack) {
-  const BuiltNodes built = workload_fixture(48, 72, 14, 7, 11);
-  for (const int replicas : {1, 3}) {
-    SCOPED_TRACE(::testing::Message() << "replicas=" << replicas);
-    const Placement incremental =
-        place_modules(built.nodes, options_with(7, replicas, 1));
-    Placement full = place_modules(
-        built.nodes, options_with(7, replicas, 1, /*full_pack=*/true));
-    // The A and B engines differ only in how much they repack per move;
-    // every other field must be bit-identical.
-    EXPECT_LT(incremental.repacked_nodes, full.repacked_nodes);
-    full.repacked_nodes = incremental.repacked_nodes;
-    expect_identical_placement(incremental, full);
-  }
 }
 
 TEST(PlaceParallelTest, SingleReplicaHasDegenerateSchedule) {

@@ -3,10 +3,9 @@
 // schedule statistic — must be bit-identical for any --route-threads
 // value, because batch composition, commit order, and conflict requeues
 // are pure functions of the deterministic net order, never of the worker
-// count. The suite asserts that across thread counts {1, 2, 8}, for both
-// negotiation schedules (disjoint-region batched and --route-serial), on
-// the hand-built contested cross fixture, a family of random grid
-// fixtures, and a real SA flow; plus the V3/V5 validator invariants.
+// count. The suite asserts that across thread counts {1, 2, 8} on the
+// hand-built contested cross fixture, a family of random grid fixtures,
+// and a real SA flow; plus the V3/V5 validator invariants.
 //
 // The threads=8 cases double as the TSan workload: the CI thread-sanitizer
 // job builds and runs this binary, so a data race between concurrent batch
@@ -139,25 +138,6 @@ void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   }
 }
 
-/// Route-level identity only (cells, legality, geometry): used for A/B
-/// pairs whose queue statistics are allowed to differ (the lookahead's
-/// early connect failure skips whole doomed floods, so its push/pop
-/// tallies legitimately shrink while the routes must not move).
-void expect_identical_routes(const RoutingResult& a, const RoutingResult& b) {
-  EXPECT_EQ(a.legal, b.legal);
-  EXPECT_EQ(a.total_wire, b.total_wire);
-  EXPECT_EQ(a.volume, b.volume);
-  ASSERT_EQ(a.nets.size(), b.nets.size());
-  for (std::size_t i = 0; i < a.nets.size(); ++i) {
-    EXPECT_EQ(a.nets[i].component, b.nets[i].component);
-    ASSERT_EQ(a.nets[i].cells.size(), b.nets[i].cells.size())
-        << "component " << a.nets[i].component;
-    for (std::size_t c = 0; c < a.nets[i].cells.size(); ++c)
-      EXPECT_EQ(a.nets[i].cells[c], b.nets[i].cells[c])
-          << "component " << a.nets[i].component << " cell " << c;
-  }
-}
-
 /// V3: every cell shared by two or more routed nets lies in some module's
 /// port region (the module cell or a face-adjacent cell).
 void expect_v3(const place::Placement& placement, const RoutingResult& r) {
@@ -189,24 +169,22 @@ void expect_v5(const place::Placement& placement, const RoutingResult& r) {
             << box.origin;
 }
 
-RouteOptions options_with(int threads, bool serial, int margin = 4) {
+RouteOptions options_with(int threads, int margin = 4) {
   RouteOptions opt;
   opt.threads = threads;
-  opt.serial_schedule = serial;
   opt.margin = margin;
   return opt;
 }
 
 void expect_thread_invariance(const place::NodeSet& nodes,
                               const place::Placement& placement,
-                              bool serial, int margin = 4) {
+                              int margin = 4) {
   const RoutingResult one =
-      route_nets(nodes, placement, options_with(1, serial, margin));
+      route_nets(nodes, placement, options_with(1, margin));
   for (const int threads : {2, 8}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "threads=" << threads << " serial=" << serial);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     const RoutingResult many =
-        route_nets(nodes, placement, options_with(threads, serial, margin));
+        route_nets(nodes, placement, options_with(threads, margin));
     expect_identical(one, many);
   }
 }
@@ -214,18 +192,14 @@ void expect_thread_invariance(const place::NodeSet& nodes,
 TEST(RouteParallelTest, CrossFixtureIdenticalAcrossThreadCounts) {
   const GridFixture f = cross_fixture();
   // Margin 0 keeps the fabric exactly the contested 5x5 core.
-  expect_thread_invariance(f.nodes, f.placement, /*serial=*/false,
-                           /*margin=*/0);
-  expect_thread_invariance(f.nodes, f.placement, /*serial=*/true,
-                           /*margin=*/0);
+  expect_thread_invariance(f.nodes, f.placement, /*margin=*/0);
 }
 
 TEST(RouteParallelTest, RandomFixturesIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {1u, 3u, 5u, 7u, 9u, 19u}) {
     SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
     const GridFixture f = random_fixture(seed);
-    expect_thread_invariance(f.nodes, f.placement, /*serial=*/false);
-    expect_thread_invariance(f.nodes, f.placement, /*serial=*/true);
+    expect_thread_invariance(f.nodes, f.placement);
   }
 }
 
@@ -233,8 +207,7 @@ TEST(RouteParallelTest, RandomFixturesHoldV3V5UnderParallelRouting) {
   for (const std::uint64_t seed : {1u, 5u, 9u}) {
     SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
     const GridFixture f = random_fixture(seed);
-    const RoutingResult r =
-        route_nets(f.nodes, f.placement, options_with(8, false));
+    const RoutingResult r = route_nets(f.nodes, f.placement, options_with(8));
     EXPECT_TRUE(r.legal);
     expect_v3(f.placement, r);
     expect_v5(f.placement, r);
@@ -261,7 +234,7 @@ TEST(RouteParallelTest, SaFlowIdenticalAcrossThreadCounts) {
   place::PlaceOptions popt;
   popt.seed = 11;
   const place::Placement placement = place::place_modules(nodes, popt);
-  expect_thread_invariance(nodes, placement, /*serial=*/false);
+  expect_thread_invariance(nodes, placement);
 }
 
 // Satellite regression: every stats field of the routing result — the
@@ -270,27 +243,12 @@ TEST(RouteParallelTest, SaFlowIdenticalAcrossThreadCounts) {
 // of them; this test pins the N=1 vs N=4 pairing the issue names.)
 TEST(RouteParallelTest, StatsIdenticalBetweenOneAndFourThreads) {
   const GridFixture f = random_fixture(5);
-  const RoutingResult one =
-      route_nets(f.nodes, f.placement, options_with(1, false));
-  const RoutingResult four =
-      route_nets(f.nodes, f.placement, options_with(4, false));
+  const RoutingResult one = route_nets(f.nodes, f.placement, options_with(1));
+  const RoutingResult four = route_nets(f.nodes, f.placement, options_with(4));
   expect_identical(one, four);
   EXPECT_GT(one.queue_pushes, 0);
   EXPECT_GT(one.batches, 0);
-}
-
-// --route-serial is defined as the batched schedule degenerated to
-// singleton batches: every pending net its own batch (so batches ==
-// reroutes_total and mean nets per batch == 1), with no conflicts by
-// construction.
-TEST(RouteParallelTest, SerialScheduleIsSingletonBatches) {
-  const GridFixture f = random_fixture(5);
-  const RoutingResult r =
-      route_nets(f.nodes, f.placement, options_with(4, true));
-  EXPECT_TRUE(r.legal);
-  EXPECT_EQ(r.batches, r.reroutes_total);
-  EXPECT_EQ(r.conflicts_requeued, 0);
-  EXPECT_DOUBLE_EQ(r.parallel_efficiency, 1.0);
+  EXPECT_GT(one.lookahead_nets, 0);
 }
 
 // The batched schedule must actually expose spatial parallelism on a
@@ -298,59 +256,11 @@ TEST(RouteParallelTest, SerialScheduleIsSingletonBatches) {
 // consistent (batches cover all reroutes; mean nets per batch >= 1).
 TEST(RouteParallelTest, BatchedScheduleExposesParallelism) {
   const GridFixture f = random_fixture(5);
-  const RoutingResult r =
-      route_nets(f.nodes, f.placement, options_with(2, false));
+  const RoutingResult r = route_nets(f.nodes, f.placement, options_with(2));
   EXPECT_TRUE(r.legal);
   EXPECT_GT(r.batches, 0);
   EXPECT_LE(r.batches, r.reroutes_total);
   EXPECT_GE(r.parallel_efficiency, 1.0);
-}
-
-// Both open-list kernels (monotone bucket queue and binary heap) must
-// produce legal routings holding the validator invariants. Their paths may
-// differ (the bucket queue pops an integer lower bound, the heap exact f
-// order), so equality is not asserted — but each kernel must be
-// thread-count invariant on its own.
-TEST(RouteParallelTest, HeapKernelLegalAndThreadInvariant) {
-  const GridFixture f = random_fixture(5);
-  RouteOptions opt = options_with(1, false);
-  opt.bucket_queue = false;
-  const RoutingResult one = route_nets(f.nodes, f.placement, opt);
-  EXPECT_TRUE(one.legal);
-  expect_v3(f.placement, one);
-  expect_v5(f.placement, one);
-  opt.threads = 8;
-  const RoutingResult many = route_nets(f.nodes, f.placement, opt);
-  expect_identical(one, many);
-}
-
-// --route-lookahead must be a pure speed knob: with it off, the routes
-// (and, on fixtures where every pin is reachable, every queue statistic)
-// must match the defaults exactly, and each setting must stay
-// thread-count invariant on its own.
-TEST(RouteParallelTest, LookaheadOnOffRoutesIdenticalAndThreadInvariant) {
-  for (const std::uint64_t seed : {1u, 5u, 9u}) {
-    SCOPED_TRACE(::testing::Message() << "fixture seed " << seed);
-    const GridFixture f = random_fixture(seed);
-    RouteOptions on = options_with(1, false);
-    on.lookahead = true;
-    RouteOptions off = on;
-    off.lookahead = false;
-    const RoutingResult r_on = route_nets(f.nodes, f.placement, on);
-    const RoutingResult r_off = route_nets(f.nodes, f.placement, off);
-    expect_identical_routes(r_on, r_off);
-    EXPECT_GT(r_on.lookahead_nets, 0);
-    EXPECT_EQ(r_off.lookahead_nets, 0);
-    for (const int threads : {2, 8}) {
-      SCOPED_TRACE(::testing::Message() << "threads " << threads);
-      RouteOptions on_t = on;
-      on_t.threads = threads;
-      expect_identical(r_on, route_nets(f.nodes, f.placement, on_t));
-      RouteOptions off_t = off;
-      off_t.threads = threads;
-      expect_identical(r_off, route_nets(f.nodes, f.placement, off_t));
-    }
-  }
 }
 
 /// 5x5 plane whose first pin (the tree seed) sits in a one-cell pocket
@@ -379,7 +289,7 @@ GridFixture pocket_fixture() {
   return f;
 }
 
-// Kernel-level A/B on the doomed connect (the full router requires
+// Kernel-level check on the doomed connect (the full router requires
 // connectable nets, so this exercises route_one_net directly): the
 // seed-closure lookahead must fail the connect with one reachability
 // lookup instead of flooding the whole free region — strictly fewer
@@ -390,13 +300,12 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   const ReachMap reach = build_reach_map(fabric);
   const LookaheadMap map =
       build_lookahead(fabric, reach, f.nodes, f.placement, /*component=*/0);
-  ASSERT_TRUE(map.valid());
   SearchScratch scratch;
   scratch.ensure(fabric.cell_count());
   RouteOptions opt;
   opt.margin = 0;
 
-  NetContext cold;  // lookahead off: the classic flood-and-fail
+  NetContext cold;  // no lookahead maps: the classic flood-and-fail
   RoutedNet out_off;
   SearchStats stats_off;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
@@ -427,7 +336,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
   const GridFixture f = random_fixture(5);
   NegotiationMemory memory;
   const RoutingResult cold = route_nets(f.nodes, f.placement,
-                                        options_with(1, false), nullptr,
+                                        options_with(1), nullptr,
                                         &memory);
   EXPECT_TRUE(cold.legal);
   EXPECT_FALSE(cold.warm_started);
@@ -435,7 +344,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
 
   NegotiationMemory chained_one;
   const RoutingResult warm_one = route_nets(f.nodes, f.placement,
-                                            options_with(1, false), &memory,
+                                            options_with(1), &memory,
                                             &chained_one);
   EXPECT_TRUE(warm_one.legal);
   EXPECT_TRUE(warm_one.warm_started);
@@ -443,7 +352,7 @@ TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     NegotiationMemory chained_many;
     const RoutingResult warm_many =
-        route_nets(f.nodes, f.placement, options_with(threads, false),
+        route_nets(f.nodes, f.placement, options_with(threads),
                    &memory, &chained_many);
     expect_identical(warm_one, warm_many);
     EXPECT_EQ(chained_one.valid, chained_many.valid);

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
@@ -272,21 +273,29 @@ TEST(RepairTest, NoAwardPathLeavesRoutesIntact) {
   EXPECT_EQ(again.total_wire, r.total_wire);
 }
 
-// The incremental schedule must agree with the classic full sweep even when
-// negotiation never converges and repair fails.
-TEST(RepairTest, IncrementalAndFullSweepAgreeOnContestedFixture) {
+// The negotiation schedule on a fixture that never converges, pinned
+// exactly: every iteration stays at one overused cell, so each one is a
+// stall and both nets reroute every time (2 stall sweeps, then the stall
+// abort after the fifth stalled iteration), and repair fails. The two
+// forced corridors overlap in their declared regions, so every batch is a
+// single net.
+TEST(RepairTest, DefaultScheduleOnContestedFixture) {
   const GridFixture f = cross_fixture();
-  RouteOptions full = cross_options();
-  full.incremental = false;
-  const RoutingResult inc =
-      route_nets(f.nodes, f.placement, cross_options());
-  const RoutingResult sweep = route_nets(f.nodes, f.placement, full);
-  EXPECT_EQ(inc.legal, sweep.legal);
-  EXPECT_EQ(inc.total_wire, sweep.total_wire);
-  EXPECT_EQ(inc.volume, sweep.volume);
-  ASSERT_EQ(inc.nets.size(), sweep.nets.size());
-  for (std::size_t i = 0; i < inc.nets.size(); ++i)
-    EXPECT_EQ(cell_set(inc.nets[i]), cell_set(sweep.nets[i]));
+  const RoutingResult r = route_nets(f.nodes, f.placement, cross_options());
+  EXPECT_FALSE(r.legal);
+  EXPECT_EQ(r.iterations, 6);
+  EXPECT_EQ(r.reroutes_per_iter, std::vector<int>(6, 2));
+  EXPECT_EQ(r.overused_per_iter, std::vector<int>(6, 1));
+  EXPECT_EQ(r.reroutes_total, 12);
+  EXPECT_EQ(r.full_sweeps, 6);
+  EXPECT_EQ(r.batches, 12);
+  EXPECT_EQ(r.conflicts_requeued, 0);
+  EXPECT_EQ(r.queue_pushes, 108);
+  EXPECT_EQ(r.queue_pops, 84);
+  EXPECT_EQ(r.repair_awarded, 0);
+  EXPECT_EQ(r.repair_failed, 1);
+  EXPECT_EQ(r.total_wire, 10);
+  EXPECT_EQ(r.volume, 25);
 }
 
 // Regression: the present-congestion factor used to grow unboundedly

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/trace.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
@@ -307,6 +308,45 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
   EXPECT_EQ(resumed.shard.windows_resumed, fresh.shard.windows_total - 2);
   EXPECT_EQ(geom::to_json(resumed.geometry),
             geom::to_json(fresh.geometry));
+
+  // Well-formed records carrying values their fields cannot hold: a
+  // non-finite timing, a non-finite attempt time, a count past int's
+  // range. Each must fail soft (the window recompiles and its record is
+  // rewritten), never load.
+  const struct {
+    const char* keyword;
+    std::size_t token;
+    const char* value;
+  } poisons[] = {
+      {"timings", 1, "nan"},
+      {"attempt", 5, "inf"},
+      {"counts", 1, "2147483648"},
+  };
+  for (const auto& poison : poisons) {
+    SCOPED_TRACE(poison.keyword);
+    std::ifstream in(files[0]);
+    std::string record, line;
+    bool replaced = false;
+    while (std::getline(in, line)) {
+      std::vector<std::string> tokens = split_ws(line);
+      if (!tokens.empty() && tokens[0] == poison.keyword) {
+        ASSERT_GT(tokens.size(), poison.token);
+        tokens[poison.token] = poison.value;
+        line = tokens[0];
+        for (std::size_t i = 1; i < tokens.size(); ++i) line += " " + tokens[i];
+        replaced = true;
+      }
+      record += line + "\n";
+    }
+    in.close();
+    ASSERT_TRUE(replaced);
+    std::ofstream(files[0], std::ios::trunc) << record;
+    const core::CompileResult again =
+        core::compile_sharded(circuit, opt, shard);
+    EXPECT_TRUE(again.routed_legal);
+    EXPECT_EQ(again.shard.windows_resumed, fresh.shard.windows_total - 1);
+    EXPECT_EQ(geom::to_json(again.geometry), geom::to_json(fresh.geometry));
+  }
 }
 
 TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {

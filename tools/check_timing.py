@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Release timing gate for the place and route kernels (CI job timing-gate).
+"""Release timing gate for the route kernel and the sharded compile (CI job
+timing-gate).
 
 Reads google-benchmark JSON files and checks *self-relative* ratios —
-time(optimized variant) / time(reference variant), both measured on the
-same machine in the same process — against a committed baseline. Same-host
+time(variant) / time(reference variant), both measured on the same machine
+in the same process — against a committed baseline. Same-host
 ratios cancel out runner speed, so the gate is stable across runner
 generations where absolute wall-clock thresholds would flake.
 
@@ -21,16 +22,18 @@ Each baseline file names its ratios explicitly:
     }
 
 The gate fails when a measured ratio exceeds baseline * tolerance — i.e.
-when the optimized kernel regressed by more than (tolerance - 1) relative
-to its reference implementation. Repetition entries (run_type other than
+when the variant's overhead grew by more than (tolerance - 1) relative to
+its reference. Repetition entries (run_type other than
 "iteration") are ignored; the minimum over iterations is used, which is
 the standard noise-robust statistic for benchmark gating.
 
 Usage: check_timing.py <benchmark.json> <baseline.json> [<benchmark.json> <baseline.json> ...]
 
 Known pairs in this repo:
-    route-kernel.json  bench/route_timing_baseline.json   (micro_route_kernel)
-    place-kernel.json  bench/place_timing_baseline.json   (micro_place_kernel)
+    route-kernel.json  bench/route_timing_baseline.json   (micro_route_kernel:
+                       warm_over_cold, warm-started vs cold negotiation)
+    shard-bench.json   bench/shard_timing_baseline.json   (micro_shard:
+                       sharded_over_unsharded, window=8 vs window=0)
 """
 import json
 import sys

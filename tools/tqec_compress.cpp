@@ -27,37 +27,14 @@
 //                              concurrently (default: divide the --jobs
 //                              budget across concurrent attempts; never
 //                              changes results)
-//   --place-full-pack          repack whole layers on every SA move
-//                              instead of the dirty contour suffix (A/B
-//                              escape hatch for the incremental packer;
-//                              bit-identical results either way)
-//   --route-full-sweep         disable incremental PathFinder rerouting
-//                              (rip up every net on every iteration; for
-//                              A/B comparisons against the incremental
-//                              schedule, which is the default)
 //   --route-threads=<n>        worker threads for the batched PathFinder
 //                              negotiation (default: divide the --jobs
 //                              budget across concurrent attempts; never
 //                              changes results)
-//   --route-serial             classic one-net-at-a-time negotiation
-//                              schedule (singleton batches; A/B escape
-//                              hatch for the disjoint-region batching)
-//   --route-heap               binary-heap A* open list instead of the
-//                              monotone bucket queue (A/B escape hatch
-//                              for the search-kernel swap)
-//   --route-lookahead=0|1      obstacle-aware A* lookahead maps (default
-//                              1; 0 = classic Manhattan-only heuristic,
-//                              A/B escape hatch)
-//   --route-windows=0|1        warm per-net search windows seeded from
-//                              the previous route (default 1; 0 = classic
-//                              failure-inflated margin ladder only)
 //   --route-warm-start=0|1     carry PathFinder history + windows across
 //                              the multi-seed restart attempts (default
 //                              1; 0 = every attempt negotiates cold, and
 //                              attempts may run concurrently)
-//   --route-stall-sweeps=N     stall-triggered full-sweep budget per
-//                              negotiation run (default 2; negative =
-//                              unlimited, the classic schedule)
 //   --shard-window=K           time-axis sharding: cut the circuit into
 //                              ~K-ASAP-layer windows at low-crossing time
 //                              cuts, compile windows independently, stitch
@@ -123,11 +100,8 @@ int usage() {
       "       tqec_compress list\n"
       "options: --mode=full|dual|modular --seed=N --effort=F\n"
       "         --jobs=N --place-restarts=K --stats-json=PATH|-\n"
-      "         --trace-json=PATH --route-full-sweep\n"
-      "         --place-replicas=R --place-threads=N --place-full-pack\n"
-      "         --route-threads=N --route-serial --route-heap\n"
-      "         --route-lookahead=0|1 --route-windows=0|1\n"
-      "         --route-warm-start=0|1 --route-stall-sweeps=N\n"
+      "         --trace-json=PATH --place-replicas=R --place-threads=N\n"
+      "         --route-threads=N --route-warm-start=0|1\n"
       "         --shard-window=K --shard-threads=N --checkpoint-dir=PATH\n"
       "         --no-optimize --no-plan --verify\n"
       "         --json=PATH --obj=PATH --svg=PATH --icm=PATH\n");
@@ -172,34 +146,14 @@ bool parse_flag(const std::string& arg, CliOptions& opt) {
     opt.compile.place.threads = parse_int(*v, "--place-threads");
     return true;
   }
-  if (arg == "--place-full-pack")
-    return opt.compile.place.full_pack = true, true;
   if (auto v = value_of("--stats-json=")) return opt.stats_json_path = *v, true;
   if (auto v = value_of("--trace-json=")) return opt.trace_json_path = *v, true;
-  if (arg == "--route-full-sweep")
-    return opt.compile.route.incremental = false, true;
   if (auto v = value_of("--route-threads=")) {
     opt.compile.route.threads = parse_int(*v, "--route-threads");
     return true;
   }
-  if (arg == "--route-serial")
-    return opt.compile.route.serial_schedule = true, true;
-  if (arg == "--route-heap")
-    return opt.compile.route.bucket_queue = false, true;
-  if (auto v = value_of("--route-lookahead=")) {
-    opt.compile.route.lookahead = parse_int(*v, "--route-lookahead") != 0;
-    return true;
-  }
-  if (auto v = value_of("--route-windows=")) {
-    opt.compile.route.windows = parse_int(*v, "--route-windows") != 0;
-    return true;
-  }
   if (auto v = value_of("--route-warm-start=")) {
     opt.compile.route.warm_start = parse_int(*v, "--route-warm-start") != 0;
-    return true;
-  }
-  if (auto v = value_of("--route-stall-sweeps=")) {
-    opt.compile.route.stall_sweeps = parse_int(*v, "--route-stall-sweeps");
     return true;
   }
   if (auto v = value_of("--shard-window=")) {
