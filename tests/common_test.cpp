@@ -262,6 +262,22 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("{\"a\" 1}"), TqecError);
 }
 
+TEST(JsonTest, EscapeHexEncodesControlsAndRoundTrips) {
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json::escape("x\ny\tz\r"), "x\\ny\\tz\\r");
+  // Other control characters become \u00XX, never a raw byte or a space.
+  EXPECT_EQ(json::escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json::escape(std::string(1, '\0')), "\\u0000");
+  EXPECT_EQ(json::escape("\xc3\xa9"), "\xc3\xa9");  // UTF-8 passes through
+
+  std::string all;
+  for (int c = 1; c < 128; ++c) all.push_back(static_cast<char>(c));
+  all += "\xc3\xa9";
+  const json::Value doc = json::parse("\"" + json::escape(all) + "\"");
+  EXPECT_EQ(doc.as_string(), all);
+}
+
 TEST(JsonTest, TypedAccessorsThrowOnMismatch) {
   const json::Value doc = json::parse(R"({"n": 1})");
   EXPECT_THROW(doc.at("n").as_string(), TqecError);
@@ -287,6 +303,20 @@ TEST(ParseNumberTest, TryFormsAcceptValidRejectMalformed) {
   EXPECT_EQ(try_parse_double("nanner"), std::nullopt);
   EXPECT_EQ(try_parse_double("inf"), std::nullopt);  // must be finite
   EXPECT_EQ(try_parse_double("1.5.5"), std::nullopt);
+}
+
+TEST(ParseNumberTest, TryParseIntRangeChecksAgainstInt) {
+  EXPECT_EQ(try_parse_int("42"), 42);
+  EXPECT_EQ(try_parse_int(" -7\t"), -7);
+  EXPECT_EQ(try_parse_int("2147483647"), std::numeric_limits<int>::max());
+  EXPECT_EQ(try_parse_int("-2147483648"), std::numeric_limits<int>::min());
+  // Fits in 64 bits but not in int: rejected, not truncated.
+  EXPECT_EQ(try_parse_int("2147483648"), std::nullopt);
+  EXPECT_EQ(try_parse_int("-2147483649"), std::nullopt);
+  EXPECT_EQ(try_parse_int("3000000000"), std::nullopt);
+  EXPECT_EQ(try_parse_int("1.5"), std::nullopt);
+  EXPECT_EQ(try_parse_int("+3"), std::nullopt);
+  EXPECT_EQ(try_parse_int(""), std::nullopt);
 }
 
 TEST(ParseNumberTest, ThrowingFormsNameTheFlagAndOffendingText) {
