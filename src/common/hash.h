@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <streambuf>
+#include <string>
 #include <string_view>
 
 namespace tqec {
@@ -38,6 +39,18 @@ struct Digest128 {
   void update(std::string_view s) {
     lo = fnv1a64(s, lo);
     hi = fnv1a64(s, hi);
+  }
+
+  /// 32 lowercase hex digits, lo then hi (shard checkpoint file names and
+  /// the tqec_serve access log use this text).
+  std::string hex() const {
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string out(32, '0');
+    for (int i = 0; i < 16; ++i) {
+      out[static_cast<std::size_t>(15 - i)] = kHex[(lo >> (4 * i)) & 0xf];
+      out[static_cast<std::size_t>(31 - i)] = kHex[(hi >> (4 * i)) & 0xf];
+    }
+    return out;
   }
 
   friend bool operator==(const Digest128&, const Digest128&) = default;

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace tqec::json {
@@ -222,16 +223,51 @@ std::string escape(std::string_view s) {
       case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xf]);
+          out.push_back(kHex[c & 0xf]);
         } else {
           out.push_back(c);
         }
     }
   }
   return out;
+}
+
+Writer& Writer::token(std::string_view text) {
+  if (!after_key_ && !first_.empty()) {
+    if (!first_.back()) out_ += ", ";
+    first_.back() = false;
+  }
+  after_key_ = false;
+  out_ += text;
+  return *this;
+}
+
+Writer& Writer::open(char bracket) {
+  token(std::string_view(&bracket, 1));
+  first_.push_back(true);
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  first_.pop_back();
+  out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  token('"' + escape(k) + "\": ");
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  if (!std::isfinite(v)) return null();
+  char buf[32];  // the longest shortest-form double is 24 characters
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  return token(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
 }
 
 }  // namespace tqec::json

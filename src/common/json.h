@@ -1,7 +1,9 @@
-// Minimal JSON reader for this repo's own observability artifacts
-// (stats_json reports, Chrome trace-event files). No external dependency:
-// a small recursive-descent parser covering the full RFC 8259 grammar is
-// all tqec_report and the round-trip tests need.
+// Minimal JSON reader and writer for this repo's own observability
+// artifacts (stats_json reports, Chrome trace-event files, tqec_serve
+// responses and access logs). No external dependency: a small
+// recursive-descent parser covering the full RFC 8259 grammar is all
+// tqec_report and the round-trip tests need, and one streaming Writer
+// produces every JSON document the repo emits.
 //
 // Numbers are stored as double (the reports never exceed 2^53) and object
 // members keep insertion order.
@@ -9,6 +11,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,5 +78,66 @@ Value parse(const std::string& text);
 /// Escape `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, and control characters; no surrounding quotes added).
 std::string escape(std::string_view s);
+
+/// Streaming JSON writer. Output is one line with `", "` and `": "`
+/// separators; the writer places every comma itself, so callers only open,
+/// key, fill and close. Numbers: integers exactly (the full int64 and
+/// uint64 ranges), doubles at the shortest precision that parses back to
+/// the same bits (std::to_chars), and non-finite doubles as `null` (JSON
+/// has no NaN or infinity literal). Strings go through escape().
+class Writer {
+ public:
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  /// Member name of the next value (inside an object).
+  Writer& key(std::string_view k);
+
+  Writer& null() { return token("null"); }
+  Writer& value(bool v) { return token(v ? "true" : "false"); }
+  Writer& value(std::int64_t v) { return token(std::to_string(v)); }
+  Writer& value(std::uint64_t v) { return token(std::to_string(v)); }
+  Writer& value(double v);
+  Writer& value(std::string_view v) { return token('"' + escape(v) + '"'); }
+  Writer& value(const char* v) { return value(std::string_view(v)); }
+  /// Every other integer type widens to int64 / uint64.
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  Writer& value(T v) {
+    if constexpr (std::is_signed_v<T>)
+      return value(static_cast<std::int64_t>(v));
+    else
+      return value(static_cast<std::uint64_t>(v));
+  }
+
+  /// key(k) then value(v).
+  template <typename T>
+  Writer& field(std::string_view k, const T& v) {
+    key(k);
+    return value(v);
+  }
+  /// A JSON array of the range's scalar elements.
+  template <typename Range>
+  Writer& array(const Range& values) {
+    begin_array();
+    for (const auto& v : values) value(v);
+    return end_array();
+  }
+
+  /// The document written so far.
+  const std::string& str() const { return out_; }
+
+ private:
+  /// Append one value, after a comma unless it is the first element of its
+  /// container or follows a key.
+  Writer& token(std::string_view text);
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+
+  std::string out_;
+  std::vector<bool> first_;  // per open container: no element written yet
+  bool after_key_ = false;
+};
 
 }  // namespace tqec::json

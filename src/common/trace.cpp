@@ -326,34 +326,32 @@ void reset_flight_records() {
 std::string chrome_trace_json() {
   Collector& c = collector();
   const std::lock_guard<std::mutex> lock(c.mutex);
-  std::ostringstream os;
-  os << "{\"traceEvents\": [\n"
-     << "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, "
-        "\"tid\": 0, \"args\": {\"name\": \"tqec\"}}";
-  for (const auto& buffer : c.buffers) {
-    os << ",\n  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 1, "
-       << "\"tid\": " << buffer->tid << ", \"args\": {\"name\": \"tqec-thread-"
-       << buffer->tid << "\"}}";
-  }
-  char num[32];
+  json::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
+  const auto metadata = [&w](const char* name, int tid,
+                             const std::string& label) {
+    w.begin_object().field("ph", "M").field("name", name).field("pid", 1);
+    w.field("tid", tid).key("args").begin_object().field("name", label);
+    w.end_object().end_object();
+  };
+  metadata("process_name", 0, "tqec");
+  for (const auto& buffer : c.buffers)
+    metadata("thread_name", buffer->tid,
+             "tqec-thread-" + std::to_string(buffer->tid));
   for (const auto& buffer : c.buffers) {
     const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
     for (const TraceEvent& e : buffer->events) {
-      os << ",\n  {\"name\": \"" << json::escape(e.name)
-         << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << buffer->tid;
-      std::snprintf(num, sizeof num, "%.3f",
-                    static_cast<double>(e.start_ns) / 1000.0);
-      os << ", \"ts\": " << num;
-      std::snprintf(num, sizeof num, "%.3f",
-                    static_cast<double>(e.dur_ns) / 1000.0);
-      os << ", \"dur\": " << num;
+      w.begin_object().field("name", e.name).field("ph", "X");
+      w.field("pid", 1).field("tid", buffer->tid);
+      w.field("ts", static_cast<double>(e.start_ns) / 1000.0);
+      w.field("dur", static_cast<double>(e.dur_ns) / 1000.0);
       if (!e.detail.empty())
-        os << ", \"args\": {\"detail\": \"" << json::escape(e.detail) << "\"}";
-      os << "}";
+        w.key("args").begin_object().field("detail", e.detail).end_object();
+      w.end_object();
     }
   }
-  os << "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return os.str();
+  w.end_array().field("displayTimeUnit", "ms").end_object();
+  return w.str() + "\n";
 }
 
 bool write_chrome_trace_file(const std::string& path) {
@@ -632,30 +630,20 @@ std::string openmetrics_text(
   return os.str();
 }
 
-std::string histogram_json(const HistogramSnapshot& h) {
-  std::ostringstream os;
-  char buf[64];
-  const auto num = [&](double v) {
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return std::string(buf);
-  };
-  os << "{\"count\": " << h.count << ", \"sum_s\": " << num(h.sum_s())
-     << ", \"min_s\": " << num(h.min_s()) << ", \"max_s\": " << num(h.max_s())
-     << ", \"mean_s\": " << num(h.mean_s()) << ", \"buckets\": [";
-  bool first = true;
+void write_histogram(json::Writer& w, const HistogramSnapshot& h) {
+  w.begin_object().field("count", h.count).field("sum_s", h.sum_s());
+  w.field("min_s", h.min_s()).field("max_s", h.max_s());
+  w.field("mean_s", h.mean_s()).key("buckets").begin_array();
   for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
     if (h.buckets[b] == 0) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"le\": ";
+    w.begin_object().key("le");
     if (b + 1 == kHistogramBuckets)
-      os << "\"+Inf\"";
+      w.value("+Inf");
     else
-      os << num(histogram_bucket_bound(b));
-    os << ", \"n\": " << h.buckets[b] << "}";
+      w.value(histogram_bucket_bound(b));
+    w.field("n", h.buckets[b]).end_object();
   }
-  os << "]}";
-  return os.str();
+  w.end_array().end_object();
 }
 
 }  // namespace tqec::trace

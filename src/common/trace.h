@@ -62,6 +62,10 @@
 #include <utility>
 #include <vector>
 
+namespace tqec::json {
+class Writer;
+}
+
 namespace tqec::trace {
 
 namespace detail {
@@ -341,12 +345,12 @@ std::string openmetrics_text(
     const std::vector<std::pair<std::string, double>>& gauges,
     const std::vector<HistogramSnapshot>& histograms);
 
-/// One histogram as a JSON object (no name, no trailing newline):
+/// Write one histogram as a JSON object value (no name):
 ///   {"count": C, "sum_s": S, "min_s": m, "max_s": M, "mean_s": A,
 ///    "buckets": [{"le": 0.001, "n": 2}, ..., {"le": "+Inf", "n": 1}]}
 /// Zero-count buckets are omitted; the overflow bucket's bound is the
-/// string "+Inf" (JSON has no infinity literal). Shared by stats_json, the
-/// tqec_serve admin protocol, and the access log.
-std::string histogram_json(const HistogramSnapshot& h);
+/// string "+Inf" (JSON has no infinity literal). Shared by stats_json and
+/// the tqec_serve admin protocol.
+void write_histogram(json::Writer& w, const HistogramSnapshot& h);
 
 }  // namespace tqec::trace

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
+#include <string>
 #include <tuple>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -324,40 +322,24 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       TQEC_LOG_INFO("attempt " << k << ": routing illegal at y-gap " << y_gap
                                << "; escalating whitespace");
     }
-    a.stats.volume = a.routing.volume;
-    a.stats.legal = a.routing.legal;
-    a.stats.sa_iterations = a.placement.iterations_run;
-    a.stats.sa_accepted = a.placement.moves_accepted;
-    a.stats.sa_rejected = a.placement.moves_rejected;
-    a.stats.sa_replicas = a.placement.replicas;
-    a.stats.sa_selected_replica = a.placement.selected_replica;
-    a.stats.sa_repacked_nodes = a.placement.repacked_nodes;
-    a.stats.sa_exchanges_attempted = a.placement.exchanges_attempted;
-    a.stats.sa_exchanges_accepted = a.placement.exchanges_accepted;
+    // Fields copied from the final level's placement and routing (the
+    // `from` column of TQEC_ATTEMPT_FIELDS); this lambda sets the `loop`
+    // fields itself.
+#define TQEC_COPY_placement(name, member) a.stats.name = a.placement.member;
+#define TQEC_COPY_routing(name, member) a.stats.name = a.routing.member;
+#define TQEC_COPY_loop(name, member)
+#define TQEC_COPY(type, name, init, from, member) TQEC_COPY_##from(name, member)
+    TQEC_ATTEMPT_FIELDS(TQEC_COPY)
+    TQEC_ATTEMPT_SERIES(TQEC_COPY)
+    a.stats.sa_repacked_per_move =
+        static_cast<double>(a.stats.sa_repacked_nodes) /
+        static_cast<double>(
+            std::max(1, a.stats.sa_accepted + a.stats.sa_rejected));
     // Moves/sec covers the attempt's final (selected-y-gap) placement over
     // its total place time; purely diagnostic, never affects results.
     if (a.stats.place_s > 0)
       a.stats.sa_moves_per_sec =
           static_cast<double>(a.placement.iterations_run) / a.stats.place_s;
-    a.stats.route_iterations = a.routing.iterations;
-    a.stats.route_overused = a.routing.overused_cells;
-    a.stats.route_reroutes_per_iter = a.routing.reroutes_per_iter;
-    a.stats.route_reroutes = a.routing.reroutes_total;
-    a.stats.route_full_sweeps = a.routing.full_sweeps;
-    a.stats.route_queue_pushes = a.routing.queue_pushes;
-    a.stats.route_queue_pops = a.routing.queue_pops;
-    a.stats.route_repair_awarded = a.routing.repair_awarded;
-    a.stats.route_repair_failed = a.routing.repair_failed;
-    a.stats.route_batches = a.routing.batches;
-    a.stats.route_conflicts_requeued = a.routing.conflicts_requeued;
-    a.stats.route_parallel_efficiency = a.routing.parallel_efficiency;
-    a.stats.route_lookahead_nets = a.routing.lookahead_nets;
-    a.stats.route_window_hits = a.routing.window_hits;
-    a.stats.route_window_misses = a.routing.window_misses;
-    a.stats.route_warm_started = a.routing.warm_started;
-    a.stats.sa_curve = a.placement.sa_curve;
-    a.stats.sa_replica_curves = a.placement.replica_curves;
-    a.stats.route_overused_per_iter = a.routing.overused_per_iter;
   };
   if (warm_chain) {
     for (std::size_t k = 0; k < attempts; ++k) run_attempt(k);
@@ -430,34 +412,17 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     trace::gauge_set("compile.modules", result.modules);
     trace::gauge_set("compile.nodes", result.nodes);
     trace::gauge_set("compile.attempts", static_cast<double>(attempts));
-    trace::gauge_set("stage.pd_graph_s", result.timings.pd_graph_s);
-    trace::gauge_set("stage.ishape_s", result.timings.ishape_s);
-    trace::gauge_set("stage.primal_bridge_s",
-                     result.timings.primal_bridge_s);
-    trace::gauge_set("stage.dual_bridge_s", result.timings.dual_bridge_s);
-    trace::gauge_set("stage.place_s", result.timings.place_s);
-    trace::gauge_set("stage.route_s", result.timings.route_s);
-    trace::gauge_set("stage.place_route_wall_s",
-                     result.timings.place_route_wall_s);
+    visit_stage_fields(
+        [](const char* name, double v) {
+          trace::gauge_set(("stage." + std::string(name)).c_str(), v);
+        },
+        result.timings);
     trace::gauge_set("route.parallel_efficiency",
                      sel.route_parallel_efficiency);
     trace::gauge_set("place.sa_replicas", sel.sa_replicas);
     trace::gauge_set("place.sa_moves_per_sec", sel.sa_moves_per_sec);
-    if (options.emit_geometry) {
-      trace::gauge_set("geom.grid_build_s", result.geom.grid_build_s);
-      trace::gauge_set("geom.grid_bytes",
-                       static_cast<double>(result.geom.grid_bytes));
-      trace::gauge_set("geom.exact_cells",
-                       static_cast<double>(result.geom.exact_cells));
-      trace::gauge_set("geom.segments",
-                       static_cast<double>(result.geom.segments));
-      trace::gauge_set("geom.arena_bytes",
-                       static_cast<double>(result.geom.arena_bytes));
-    }
-    trace::gauge_set(
-        "place.sa_repacked_per_move",
-        static_cast<double>(sel.sa_repacked_nodes) /
-            static_cast<double>(std::max(1, sel.sa_accepted + sel.sa_rejected)));
+    if (options.emit_geometry) publish_geom_gauges(result.geom);
+    trace::gauge_set("place.sa_repacked_per_move", sel.sa_repacked_per_move);
     auto iota_x = [](std::size_t n) {
       std::vector<double> x(n);
       for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<double>(i);
@@ -501,262 +466,143 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   return result;
 }
 
+void publish_geom_gauges(const GeomStats& geom) {
+  visit_geom_fields(
+      [](const char* name, auto v) {
+        trace::gauge_set(("geom." + std::string(name)).c_str(),
+                         static_cast<double>(v));
+      },
+      geom);
+}
+
 namespace {
 
-std::string json_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
+void write_value(json::Writer& w, const std::vector<place::SaSample>& curve) {
+  w.begin_object().key("cost").begin_array();
+  for (const place::SaSample& s : curve) w.value(s.cost);
+  w.end_array().key("temperature").begin_array();
+  for (const place::SaSample& s : curve) w.value(s.temperature);
+  w.end_array().key("accept_rate").begin_array();
+  for (const place::SaSample& s : curve) w.value(s.accept_rate);
+  w.end_array().end_object();
 }
 
-template <typename T>
-void emit_number_array(std::ostringstream& os, const std::vector<T>& values) {
-  os << "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) os << ", ";
-    if constexpr (std::is_floating_point_v<T>) os << json_double(values[i]);
-    else os << values[i];
-  }
-  os << "]";
+void write_value(json::Writer& w,
+                 const std::vector<std::vector<place::SaSample>>& curves) {
+  w.begin_array();
+  for (const auto& curve : curves) write_value(w, curve);
+  w.end_array();
 }
 
-void emit_sa_curve(std::ostringstream& os,
-                   const std::vector<place::SaSample>& curve) {
-  std::vector<double> cost, temperature, accept_rate;
-  cost.reserve(curve.size());
-  temperature.reserve(curve.size());
-  accept_rate.reserve(curve.size());
-  for (const place::SaSample& s : curve) {
-    cost.push_back(s.cost);
-    temperature.push_back(s.temperature);
-    accept_rate.push_back(s.accept_rate);
-  }
-  os << "{\"cost\": ";
-  emit_number_array(os, cost);
-  os << ", \"temperature\": ";
-  emit_number_array(os, temperature);
-  os << ", \"accept_rate\": ";
-  emit_number_array(os, accept_rate);
-  os << "}";
-}
-
-void emit_histogram(std::ostringstream& os,
-                    const trace::HistogramSnapshot& h) {
-  os << trace::histogram_json(h);
+void write_value(json::Writer& w, const std::vector<int>& values) {
+  w.array(values);
 }
 
 }  // namespace
 
-std::string stats_json(const CompileResult& result) {
+void write_stats_json(json::Writer& w, const CompileResult& result) {
   const StageTimings& t = result.timings;
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"stats_version\": 2,\n"
-     << "  \"name\": \"" << json::escape(result.name) << "\",\n"
-     << "  \"volume\": " << result.volume << ",\n"
-     << "  \"canonical_volume\": " << result.canonical_volume << ",\n"
-     << "  \"legal\": " << (result.routed_legal ? "true" : "false") << ",\n"
-     << "  \"modules\": " << result.modules << ",\n"
-     << "  \"nodes\": " << result.nodes << ",\n"
-     << "  \"ishape_merges\": " << result.ishape_merges << ",\n"
-     << "  \"primal_bridges\": " << result.primal_bridges << ",\n"
-     << "  \"dual_bridges\": " << result.dual_bridges << ",\n"
-     << "  \"net_components\": " << result.net_components << ",\n"
-     << "  \"peak_rss_bytes\": " << result.peak_rss_bytes << ",\n"
-     << "  \"timings\": {"
-     << "\"pd_graph_s\": " << json_double(t.pd_graph_s)
-     << ", \"ishape_s\": " << json_double(t.ishape_s)
-     << ", \"primal_bridge_s\": " << json_double(t.primal_bridge_s)
-     << ", \"dual_bridge_s\": " << json_double(t.dual_bridge_s)
-     << ", \"place_s\": " << json_double(t.place_s)
-     << ", \"route_s\": " << json_double(t.route_s)
-     << ", \"place_route_wall_s\": " << json_double(t.place_route_wall_s)
-     << ", \"total_s\": " << json_double(t.total_s) << "},\n";
+  const JsonMembers members{w};
+  w.begin_object().field("stats_version", 2).field("name", result.name);
+  w.field("volume", result.volume);
+  w.field("canonical_volume", result.canonical_volume);
+  w.field("legal", result.routed_legal);
+  visit_count_fields(members, result);
+  w.field("peak_rss_bytes", result.peak_rss_bytes);
+  w.key("timings").begin_object();
+  visit_timing_fields(members, t);
+  w.end_object();
 
-  os << "  \"primal_restarts\": {\"selected\": " << t.primal_restarts.selected
-     << ", \"restarts\": [";
+  w.key("primal_restarts").begin_object();
+  w.field("selected", t.primal_restarts.selected).key("restarts").begin_array();
   for (std::size_t r = 0; r < t.primal_restarts.restart_s.size(); ++r) {
-    if (r > 0) os << ", ";
-    os << "{\"time_s\": " << json_double(t.primal_restarts.restart_s[r])
-       << ", \"chains\": " << t.primal_restarts.chain_counts[r]
-       << ", \"bridges\": " << t.primal_restarts.bridge_counts[r] << "}";
+    w.begin_object().field("time_s", t.primal_restarts.restart_s[r]);
+    w.field("chains", t.primal_restarts.chain_counts[r]);
+    w.field("bridges", t.primal_restarts.bridge_counts[r]).end_object();
   }
-  os << "]},\n";
+  w.end_array().end_object();
 
-  os << "  \"attempts\": [";
-  for (std::size_t k = 0; k < t.attempts.size(); ++k) {
-    const PlaceAttemptStats& a = t.attempts[k];
-    if (k > 0) os << ",";
-    os << "\n    {\"seed\": " << a.seed << ", \"volume\": " << a.volume
-       << ", \"legal\": " << (a.legal ? "true" : "false")
-       << ", \"selected\": " << (a.selected ? "true" : "false")
-       << ", \"y_gap\": " << a.y_gap
-       << ", \"place_s\": " << json_double(a.place_s)
-       << ", \"route_s\": " << json_double(a.route_s)
-       << ", \"sa_iterations\": " << a.sa_iterations
-       << ", \"sa_accepted\": " << a.sa_accepted
-       << ", \"sa_rejected\": " << a.sa_rejected
-       << ", \"sa_replicas\": " << a.sa_replicas
-       << ", \"sa_selected_replica\": " << a.sa_selected_replica
-       << ", \"sa_repacked_nodes\": " << a.sa_repacked_nodes
-       << ", \"sa_repacked_per_move\": "
-       << json_double(static_cast<double>(a.sa_repacked_nodes) /
-                      static_cast<double>(
-                          std::max(1, a.sa_accepted + a.sa_rejected)))
-       << ", \"sa_moves_per_sec\": " << json_double(a.sa_moves_per_sec)
-       << ", \"sa_exchanges_attempted\": " << a.sa_exchanges_attempted
-       << ", \"sa_exchanges_accepted\": " << a.sa_exchanges_accepted
-       << ", \"route_iterations\": " << a.route_iterations
-       << ", \"route_overused\": " << a.route_overused
-       << ", \"route_reroutes\": " << a.route_reroutes
-       << ", \"route_full_sweeps\": " << a.route_full_sweeps
-       << ", \"route_queue_pushes\": " << a.route_queue_pushes
-       << ", \"route_queue_pops\": " << a.route_queue_pops
-       << ", \"route_repair_awarded\": " << a.route_repair_awarded
-       << ", \"route_repair_failed\": " << a.route_repair_failed
-       << ", \"route_batches\": " << a.route_batches
-       << ", \"route_conflicts_requeued\": " << a.route_conflicts_requeued
-       << ", \"route_parallel_efficiency\": "
-       << json_double(a.route_parallel_efficiency)
-       << ", \"route_lookahead_nets\": " << a.route_lookahead_nets
-       << ", \"route_window_hits\": " << a.route_window_hits
-       << ", \"route_window_misses\": " << a.route_window_misses
-       << ", \"route_warm_started\": "
-       << (a.route_warm_started ? "true" : "false")
-       << ", \"route_reroutes_per_iter\": ";
-    emit_number_array(os, a.route_reroutes_per_iter);
-    os << ", \"route_overused_per_iter\": ";
-    emit_number_array(os, a.route_overused_per_iter);
-    os << ", \"sa_curve\": ";
-    emit_sa_curve(os, a.sa_curve);
-    os << ", \"sa_replica_curves\": [";
-    for (std::size_t r = 0; r < a.sa_replica_curves.size(); ++r) {
-      if (r > 0) os << ", ";
-      emit_sa_curve(os, a.sa_replica_curves[r]);
-    }
-    os << "]}";
+  w.key("attempts").begin_array();
+  for (const PlaceAttemptStats& a : t.attempts) {
+    w.begin_object();
+    visit_attempt_fields(members, a);
+    visit_attempt_series(
+        [&w](const char* name, const auto& series) {
+          write_value(w.key(name), series);
+        },
+        a);
+    w.end_object();
   }
-  if (!t.attempts.empty()) os << "\n  ";
-  os << "],\n";
+  w.end_array();
 
   // Congestion census of the selected attempt's final routing.
   const route::RoutingResult& routing = result.routing;
-  os << "  \"route\": {\"iterations\": " << routing.iterations
-     << ", \"overused_cells\": " << routing.overused_cells
-     << ", \"total_wire\": " << routing.total_wire
-     << ", \"present_factor_final\": "
-     << json_double(routing.present_factor_final)
-     << ", \"batches\": " << routing.batches
-     << ", \"conflicts_requeued\": " << routing.conflicts_requeued
-     << ", \"parallel_efficiency\": "
-     << json_double(routing.parallel_efficiency)
-     << ", \"lookahead_nets\": " << routing.lookahead_nets
-     << ", \"window_hits\": " << routing.window_hits
-     << ", \"window_misses\": " << routing.window_misses
-     << ", \"warm_started\": " << (routing.warm_started ? "true" : "false")
-     << ", \"overused_per_iter\": ";
-  emit_number_array(os, routing.overused_per_iter);
-  os << ", \"congestion_histogram\": ";
-  emit_number_array(os, routing.congestion_histogram);
-  os << ", \"hottest_cells\": [";
-  for (std::size_t i = 0; i < routing.hottest_cells.size(); ++i) {
-    const route::RoutingResult::HotCell& h = routing.hottest_cells[i];
-    if (i > 0) os << ", ";
-    os << "{\"x\": " << h.cell.x << ", \"y\": " << h.cell.y
-       << ", \"z\": " << h.cell.z << ", \"usage\": " << h.usage
-       << ", \"capacity\": " << h.capacity << "}";
+  w.key("route").begin_object().field("iterations", routing.iterations);
+  w.field("overused_cells", routing.overused_cells);
+  w.field("total_wire", routing.total_wire);
+  w.field("present_factor_final", routing.present_factor_final);
+  w.field("batches", routing.batches);
+  w.field("conflicts_requeued", routing.conflicts_requeued);
+  w.field("parallel_efficiency", routing.parallel_efficiency);
+  w.field("lookahead_nets", routing.lookahead_nets);
+  w.field("window_hits", routing.window_hits);
+  w.field("window_misses", routing.window_misses);
+  w.field("warm_started", routing.warm_started);
+  w.key("overused_per_iter").array(routing.overused_per_iter);
+  w.key("congestion_histogram").array(routing.congestion_histogram);
+  w.key("hottest_cells").begin_array();
+  for (const route::RoutingResult::HotCell& h : routing.hottest_cells) {
+    w.begin_object().field("x", h.cell.x).field("y", h.cell.y);
+    w.field("z", h.cell.z).field("usage", h.usage);
+    w.field("capacity", h.capacity).end_object();
   }
-  os << "], \"heatmap\": \"" << json::escape(routing.congestion_heatmap)
-     << "\"},\n";
+  w.end_array().field("heatmap", routing.congestion_heatmap).end_object();
 
   // Time-axis sharding record (additive in v2; enabled=false defaults for
   // unsharded compiles — see core/shard.h).
   const ShardStats& sh = result.shard;
-  os << "  \"shard\": {\"enabled\": " << (sh.enabled ? "true" : "false")
-     << ", \"window\": " << sh.window << ", \"threads\": " << sh.threads
-     << ", \"windows_total\": " << sh.windows_total
-     << ", \"windows_resumed\": " << sh.windows_resumed
-     << ", \"windows_reseeded\": " << sh.windows_reseeded
-     << ", \"crossings\": " << sh.crossings
-     << ", \"stitches\": " << sh.stitches
-     << ", \"seam_cells\": " << sh.seam_cells
-     << ", \"stitch_s\": " << json_double(sh.stitch_s)
-     << ", \"cut_layers\": ";
-  emit_number_array(os, sh.cut_layers);
-  os << ", \"window_volumes\": ";
-  emit_number_array(os, sh.window_volumes);
-  os << ", \"issues\": [";
-  for (std::size_t i = 0; i < sh.issues.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "\"" << json::escape(sh.issues[i]) << "\"";
-  }
-  os << "]},\n";
+  w.key("shard").begin_object();
+  visit_shard_fields(members, sh);
+  w.key("cut_layers").array(sh.cut_layers);
+  w.key("window_volumes").array(sh.window_volumes);
+  w.key("issues").array(sh.issues);
+  w.end_object();
 
   // Geometry-engine record (additive in v2; zeros when emit_geometry was
   // off — see core/compiler.h GeomStats).
-  const GeomStats& ge = result.geom;
-  os << "  \"geom\": {\"grid_build_s\": " << json_double(ge.grid_build_s)
-     << ", \"grid_bytes\": " << ge.grid_bytes
-     << ", \"exact_cells\": " << ge.exact_cells
-     << ", \"segments\": " << ge.segments
-     << ", \"arena_bytes\": " << ge.arena_bytes << "},\n";
+  w.key("geom").begin_object();
+  visit_geom_fields(members, result.geom);
+  w.end_object();
 
   // Stage-cache usage (additive in v2; all-"skip" defaults for the
   // single-shot CLI path, filled in by the tqec::Compiler facade).
-  const CacheUsage& c = result.cache;
-  os << "  \"cache\": {\"enabled\": " << (c.enabled ? "true" : "false")
-     << ", \"decompose\": \"" << json::escape(c.decompose) << "\""
-     << ", \"icm\": \"" << json::escape(c.icm) << "\""
-     << ", \"pd_graph\": \"" << json::escape(c.pd_graph) << "\""
-     << ", \"hits\": " << c.hits << ", \"misses\": " << c.misses
-     << ", \"entries\": " << c.entries << ", \"bytes\": " << c.bytes
-     << ", \"budget\": " << c.budget << ", \"evictions\": " << c.evictions
-     << "},\n";
+  w.key("cache").begin_object();
+  visit_cache_fields(members, result.cache);
+  w.end_object();
 
   // Trace metrics registry snapshot (empty object unless tracing was on).
-  os << "  \"metrics\": {\"counters\": {";
-  {
-    bool first = true;
-    for (const auto& [name, value] : result.metrics.counters) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << json::escape(name) << "\": " << value;
-    }
+  const trace::MetricsSnapshot& m = result.metrics;
+  w.key("metrics").begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : m.counters) w.field(name, value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : m.gauges) w.field(name, value);
+  w.end_object().key("series").begin_object();
+  for (const trace::SeriesChannel& s : m.series) {
+    w.key(s.name).begin_object().key("x").array(s.x);
+    w.key("y").array(s.y).end_object();
   }
-  os << "}, \"gauges\": {";
-  {
-    bool first = true;
-    for (const auto& [name, value] : result.metrics.gauges) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << json::escape(name) << "\": " << json_double(value);
-    }
+  w.end_object().key("histograms").begin_object();
+  for (const trace::HistogramSnapshot& h : m.histograms) {
+    w.key(h.name);
+    trace::write_histogram(w, h);
   }
-  os << "}, \"series\": {";
-  {
-    bool first = true;
-    for (const trace::SeriesChannel& s : result.metrics.series) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << json::escape(s.name) << "\": {\"x\": ";
-      emit_number_array(os, s.x);
-      os << ", \"y\": ";
-      emit_number_array(os, s.y);
-      os << "}";
-    }
-  }
-  os << "}, \"histograms\": {";
-  {
-    bool first = true;
-    for (const trace::HistogramSnapshot& h : result.metrics.histograms) {
-      if (!first) os << ", ";
-      first = false;
-      os << "\"" << json::escape(h.name) << "\": ";
-      emit_histogram(os, h);
-    }
-  }
-  os << "}}\n}\n";
-  return os.str();
+  w.end_object().end_object().end_object();
+}
+
+std::string stats_json(const CompileResult& result) {
+  json::Writer w;
+  write_stats_json(w, result);
+  return w.str() + "\n";
 }
 
 }  // namespace tqec::core

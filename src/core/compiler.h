@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/json.h"
 #include "common/trace.h"
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
@@ -84,84 +85,133 @@ struct CompileOptions {
   route::RouteOptions route;
 };
 
-/// Observability record of one place+route attempt of the multi-seed
-/// outer loop (CompileOptions::place_restarts).
-struct PlaceAttemptStats {
-  std::uint64_t seed = 0;
-  std::int64_t volume = 0;
-  bool legal = false;
-  bool selected = false;  // this attempt produced the final result
-  int y_gap = 0;          // whitespace-escalation level that finished it
-  double place_s = 0;
-  double route_s = 0;
-  int sa_iterations = 0;
-  int sa_accepted = 0;
-  int sa_rejected = 0;
-  /// SA engine observability (see place::Placement): parallel-tempering
-  /// schedule counters and the incremental-packing work metric. The
-  /// moves/sec rate is timing-derived (not deterministic); everything else
-  /// is bit-reproducible.
-  int sa_replicas = 1;
-  int sa_selected_replica = 0;
-  std::int64_t sa_repacked_nodes = 0;
-  std::int64_t sa_exchanges_attempted = 0;
-  std::int64_t sa_exchanges_accepted = 0;
-  double sa_moves_per_sec = 0;
-  int route_iterations = 0;
-  int route_overused = 0;
-  /// PathFinder observability (final routing of the attempt): nets ripped
-  /// up + rerouted per negotiation iteration and in total, iterations that
-  /// swept every net, A*-queue traffic, and hard-block repair outcomes.
-  std::vector<int> route_reroutes_per_iter;
-  std::int64_t route_reroutes = 0;
-  int route_full_sweeps = 0;
-  std::int64_t route_queue_pushes = 0;
-  std::int64_t route_queue_pops = 0;
-  int route_repair_awarded = 0;
-  int route_repair_failed = 0;
-  /// Batched-negotiation schedule observability: disjoint-region batches
-  /// committed, conflict requeues, and mean nets per batch (all pure
-  /// functions of the schedule, identical for any --route-threads value).
-  int route_batches = 0;
-  int route_conflicts_requeued = 0;
-  double route_parallel_efficiency = 0;
-  /// Lookahead / warm-window / warm-start observability: components whose
-  /// searches used the obstacle-aware lookahead, warm-window first-attempt
-  /// hits vs. ladder fallbacks, and whether this attempt consumed the
-  /// previous attempt's NegotiationMemory (--route-warm-start).
-  int route_lookahead_nets = 0;
-  std::int64_t route_window_hits = 0;
-  std::int64_t route_window_misses = 0;
-  bool route_warm_started = false;
-  /// SA convergence curve of the attempt's (final) placement, one sample
-  /// per temperature batch.
-  std::vector<place::SaSample> sa_curve;
-  /// Convergence curves of every tempering replica, indexed by ladder
-  /// position (sa_replica_curves[sa_selected_replica] == sa_curve).
-  std::vector<std::vector<place::SaSample>> sa_replica_curves;
-  /// Overused-cell count after each PathFinder negotiation iteration.
-  std::vector<int> route_overused_per_iter;
+// ---------------------------------------------------------------------------
+// Stats field lists
+//
+// Each scalar of a stats record is one X(type, name, init, ...) entry of
+// its record's list. The list declares the members and generates a
+// visitor; stats_json, the registry gauges, the shard checkpoint and
+// cross-window sums, tqec_serve and the round-trip tests iterate those
+// instead of naming fields. To add a stats field, add one line to its list.
+//
+// visit_<list>(f, r...) calls f("name", r.name...) per entry, in list
+// order: over one record (read or fill it), several side by side (copy,
+// sum, compare), or none (just the names).
+
+#define TQEC_STATS_MEMBER(type, name, init, ...) type name = init;
+#define TQEC_STATS_VISIT(type, name, ...) f(#name, r.name...);
+#define TQEC_STATS_VISITOR(visitor, LIST)                                    \
+  template <typename F, typename... R>                                       \
+  void visitor(F&& f, R&... r) {                                             \
+    LIST(TQEC_STATS_VISIT)                                                   \
+  }
+
+/// Scalars of one place+route attempt (CompileOptions::place_restarts).
+/// `from, member` names what compile() copies the field from: a
+/// place::Placement (placement) or route::RoutingResult (routing) member of
+/// the attempt's final level; `loop` fields are set by the attempt loop.
+/// The times and the moves/sec rate are wall-clock; everything else is
+/// bit-reproducible.
+#define TQEC_ATTEMPT_FIELDS(X)                                               \
+  X(std::uint64_t, seed, 0, loop, seed)                                      \
+  X(std::int64_t, volume, 0, routing, volume)                                \
+  X(bool, legal, false, routing, legal)                                      \
+  X(bool, selected, false, loop, selected) /* produced the final result */   \
+  X(int, y_gap, 0, loop, y_gap) /* whitespace level that finished it */      \
+  X(double, place_s, 0, loop, place_s)                                       \
+  X(double, route_s, 0, loop, route_s)                                       \
+  X(int, sa_iterations, 0, placement, iterations_run)                        \
+  X(int, sa_accepted, 0, placement, moves_accepted)                          \
+  X(int, sa_rejected, 0, placement, moves_rejected)                          \
+  /* SA engine (see place::Placement): tempering schedule counters and the */ \
+  /* incremental-packing work metric, also per move (accepted + rejected) */ \
+  X(int, sa_replicas, 1, placement, replicas)                                \
+  X(int, sa_selected_replica, 0, placement, selected_replica)                \
+  X(std::int64_t, sa_repacked_nodes, 0, placement, repacked_nodes)           \
+  X(double, sa_repacked_per_move, 0, loop, sa_repacked_per_move)             \
+  X(double, sa_moves_per_sec, 0, loop, sa_moves_per_sec)                     \
+  X(std::int64_t, sa_exchanges_attempted, 0, placement, exchanges_attempted) \
+  X(std::int64_t, sa_exchanges_accepted, 0, placement, exchanges_accepted)   \
+  /* PathFinder (final routing): iterations, overuse, nets rerouted, full */ \
+  /* sweeps, A*-queue traffic, hard-block repair outcomes */                 \
+  X(int, route_iterations, 0, routing, iterations)                           \
+  X(int, route_overused, 0, routing, overused_cells)                         \
+  X(std::int64_t, route_reroutes, 0, routing, reroutes_total)                \
+  X(int, route_full_sweeps, 0, routing, full_sweeps)                         \
+  X(std::int64_t, route_queue_pushes, 0, routing, queue_pushes)              \
+  X(std::int64_t, route_queue_pops, 0, routing, queue_pops)                  \
+  X(int, route_repair_awarded, 0, routing, repair_awarded)                   \
+  X(int, route_repair_failed, 0, routing, repair_failed)                     \
+  /* Batched negotiation: batches, conflict requeues, mean nets per batch */ \
+  /* (pure functions of the schedule, the same for any --route-threads) */   \
+  X(int, route_batches, 0, routing, batches)                                 \
+  X(int, route_conflicts_requeued, 0, routing, conflicts_requeued)           \
+  X(double, route_parallel_efficiency, 0, routing, parallel_efficiency)      \
+  /* Nets searched with the obstacle-aware lookahead, warm-window first */   \
+  /* hits vs. ladder fallbacks, and whether the attempt consumed the */      \
+  /* previous attempt's NegotiationMemory (--route-warm-start) */            \
+  X(int, route_lookahead_nets, 0, routing, lookahead_nets)                   \
+  X(std::int64_t, route_window_hits, 0, routing, window_hits)                \
+  X(std::int64_t, route_window_misses, 0, routing, window_misses)            \
+  X(bool, route_warm_started, false, routing, warm_started)
+
+/// Time-series of one attempt, with the same source columns: nets rerouted
+/// and overused cells per PathFinder iteration, the SA convergence curve
+/// (one sample per temperature batch), and every tempering replica's curve
+/// by ladder position (sa_replica_curves[sa_selected_replica] == sa_curve).
+#define TQEC_ATTEMPT_SERIES(X)                                               \
+  X(std::vector<int>, route_reroutes_per_iter, {}, routing, reroutes_per_iter) \
+  X(std::vector<int>, route_overused_per_iter, {}, routing, overused_per_iter) \
+  X(std::vector<place::SaSample>, sa_curve, {}, placement, sa_curve)         \
+  X(std::vector<std::vector<place::SaSample>>, sa_replica_curves, {},        \
+    placement, replica_curves)
+
+/// Visitor callback writing each visited scalar as a "name": value member
+/// of the open JSON object: visit_geom_fields(JsonMembers{w}, geom).
+struct JsonMembers {
+  json::Writer& w;
+  template <typename T>
+  void operator()(const char* name, const T& v) const {
+    w.field(name, v);
+  }
 };
 
-/// Per-stage observability report. The scalar *_s fields time the pipeline
-/// stages (for place/route: the *selected* attempt, summed over its
-/// whitespace escalations); the vectors break the parallel stages down
-/// per restart/attempt. Serializable via stats_json().
+/// Observability record of one place+route attempt.
+struct PlaceAttemptStats {
+  TQEC_ATTEMPT_FIELDS(TQEC_STATS_MEMBER)
+  TQEC_ATTEMPT_SERIES(TQEC_STATS_MEMBER)
+};
+TQEC_STATS_VISITOR(visit_attempt_fields, TQEC_ATTEMPT_FIELDS)
+TQEC_STATS_VISITOR(visit_attempt_series, TQEC_ATTEMPT_SERIES)
+
+/// Stage wall clocks; place/route time the *selected* attempt, summed over
+/// its whitespace escalations.
+#define TQEC_STAGE_FIELDS(X)                                                 \
+  X(double, pd_graph_s, 0)                                                   \
+  X(double, ishape_s, 0)                                                     \
+  X(double, primal_bridge_s, 0)                                              \
+  X(double, dual_bridge_s, 0)                                                \
+  X(double, place_s, 0)                                                      \
+  X(double, route_s, 0)                                                      \
+  X(double, place_route_wall_s, 0) /* the whole stage, all attempts */
+
+/// The stages plus the whole compile.
+#define TQEC_TIMING_FIELDS(X)                                                \
+  TQEC_STAGE_FIELDS(X)                                                       \
+  X(double, total_s, 0)
+
+/// Per-stage observability report. The scalars time the pipeline stages;
+/// the vectors break the parallel stages down per restart/attempt.
+/// Serializable via stats_json().
 struct StageTimings {
-  double pd_graph_s = 0;
-  double ishape_s = 0;
-  double primal_bridge_s = 0;
-  double dual_bridge_s = 0;
-  double place_s = 0;
-  double route_s = 0;
-  /// Wall-clock of the whole multi-seed place+route stage (all attempts).
-  double place_route_wall_s = 0;
-  double total_s = 0;
+  TQEC_TIMING_FIELDS(TQEC_STATS_MEMBER)
   /// Per-restart greedy primal-bridging breakdown (Full mode only).
   compress::RestartReport primal_restarts;
   /// One entry per place+route attempt, in attempt order.
   std::vector<PlaceAttemptStats> attempts;
 };
+TQEC_STATS_VISITOR(visit_stage_fields, TQEC_STAGE_FIELDS)
+TQEC_STATS_VISITOR(visit_timing_fields, TQEC_TIMING_FIELDS)
 
 /// Intermediate pipeline structures, kept when
 /// CompileOptions::keep_internals is set.
@@ -176,64 +226,85 @@ struct PipelineInternals {
 /// Per-stage outcomes are "hit", "miss", or "skip" (stage not run for this
 /// input kind — e.g. an .icm request needs no decompose); the counters are
 /// the cache-wide cumulative totals at response time.
+#define TQEC_CACHE_FIELDS(X)                                                 \
+  X(bool, enabled, false)                                                    \
+  X(std::string, decompose, "skip")                                          \
+  X(std::string, icm, "skip")                                                \
+  X(std::string, pd_graph, "skip")                                           \
+  X(std::int64_t, hits, 0)                                                   \
+  X(std::int64_t, misses, 0)                                                 \
+  X(std::int64_t, entries, 0)                                                \
+  X(std::int64_t, bytes, 0)                                                  \
+  X(std::int64_t, budget, 0)                                                 \
+  X(std::int64_t, evictions, 0)
+
 struct CacheUsage {
-  bool enabled = false;
-  std::string decompose = "skip";
-  std::string icm = "skip";
-  std::string pd_graph = "skip";
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  std::int64_t entries = 0;
-  std::int64_t bytes = 0;
-  std::int64_t budget = 0;
-  std::int64_t evictions = 0;
+  TQEC_CACHE_FIELDS(TQEC_STATS_MEMBER)
 };
+TQEC_STATS_VISITOR(visit_cache_fields, TQEC_CACHE_FIELDS)
 
 /// Geometry-engine observability (geom/cell_grid.h): occupancy-grid build
 /// cost and footprint for the emitted geometry, the exact deduplicated
 /// cell count from the grid's population count, and the segment-arena
 /// size. All zero when CompileOptions::emit_geometry is off.
+#define TQEC_GEOM_FIELDS(X)                                                  \
+  X(double, grid_build_s, 0)        /* rasterization wall clock */           \
+  X(std::int64_t, grid_bytes, 0)    /* dense words or intervals */           \
+  X(std::int64_t, exact_cells, 0)   /* popcount over both sublattices */     \
+  X(std::int64_t, segments, 0)      /* segment-arena entries */              \
+  X(std::int64_t, arena_bytes, 0)   /* arena + defect-record heap bytes */
+
 struct GeomStats {
-  double grid_build_s = 0;       // occupancy-grid rasterization wall clock
-  std::int64_t grid_bytes = 0;   // grid footprint (dense words or intervals)
-  std::int64_t exact_cells = 0;  // population count over both sublattices
-  std::int64_t segments = 0;     // segment-arena entries
-  std::int64_t arena_bytes = 0;  // arena + defect-record heap bytes
+  TQEC_GEOM_FIELDS(TQEC_STATS_MEMBER)
 };
+TQEC_STATS_VISITOR(visit_geom_fields, TQEC_GEOM_FIELDS)
+
+/// Publish every GeomStats field as a "geom.<name>" registry gauge (a no-op
+/// unless tracing is enabled).
+void publish_geom_gauges(const GeomStats& geom);
 
 /// Observability record of a time-axis sharded compile (core/shard.h).
 /// Default-constructed (enabled == false) on unsharded results.
+#define TQEC_SHARD_FIELDS(X)                                                 \
+  X(bool, enabled, false)                                                    \
+  X(int, window, 0)            /* --shard-window layer budget */             \
+  X(int, threads, 1)           /* window workers used */                     \
+  X(int, windows_total, 0)                                                   \
+  X(int, windows_resumed, 0)   /* loaded from checkpoint, not compiled */    \
+  X(int, windows_reseeded, 0)  /* recompiled with a retry seed */            \
+  X(int, crossings, 0)         /* line/cut crossings over all seams */       \
+  X(int, stitches, 0)          /* seam paths carved */                       \
+  X(std::int64_t, seam_cells, 0)                                             \
+  X(double, stitch_s, 0)
+
 struct ShardStats {
-  bool enabled = false;
-  int window = 0;           // --shard-window layer budget
-  int threads = 1;          // window workers used
-  int windows_total = 0;
-  int windows_resumed = 0;  // loaded from checkpoint instead of compiled
-  int windows_reseeded = 0;  // recompiled with a retry seed (blocked seam)
-  int crossings = 0;        // line/cut crossings over all seams
-  int stitches = 0;         // seam paths carved
-  std::int64_t seam_cells = 0;
+  TQEC_SHARD_FIELDS(TQEC_STATS_MEMBER)
   /// Chosen cut boundaries (first ASAP layer of each window after the
   /// first).
   std::vector<int> cut_layers;
   /// Final volume of each window's geometry, in window order.
   std::vector<std::int64_t> window_volumes;
-  double stitch_s = 0;
   /// Seam / window failures (empty on a fully legal sharded result).
   std::vector<std::string> issues;
 };
+TQEC_STATS_VISITOR(visit_shard_fields, TQEC_SHARD_FIELDS)
+
+/// Compression statistics (paper Table 1), members of CompileResult.
+#define TQEC_COUNT_FIELDS(X)                                                 \
+  X(int, modules, 0)  /* #Modules: PD-graph modules */                       \
+  X(int, nodes, 0)    /* #Nodes: 2.5D B*-tree nodes after bridging */        \
+  X(int, ishape_merges, 0)                                                   \
+  X(int, primal_bridges, 0)                                                  \
+  X(int, dual_bridges, 0)                                                    \
+  X(int, net_components, 0)
+TQEC_STATS_VISITOR(visit_count_fields, TQEC_COUNT_FIELDS)
 
 struct CompileResult {
   std::string name;
   icm::IcmStats stats;
 
   // Compression statistics (paper Table 1).
-  int modules = 0;          // #Modules: PD-graph modules
-  int nodes = 0;            // #Nodes: 2.5D B*-tree nodes after bridging
-  int ishape_merges = 0;
-  int primal_bridges = 0;
-  int dual_bridges = 0;
-  int net_components = 0;
+  TQEC_COUNT_FIELDS(TQEC_STATS_MEMBER)
 
   std::int64_t canonical_volume = 0;
   place::Placement placement;
@@ -295,12 +366,15 @@ geom::GeomDescription emit_geometry(const pdgraph::PdGraph& graph,
 /// defect; duplicate input cells collapse. Exposed for testing.
 void emit_cell_runs(geom::Defect& defect, std::vector<Vec3> cells);
 
-/// Serialize a compile result's statistics and per-stage observability
-/// report as JSON (format v2): scalar stats and stage timings, the
-/// per-restart and per-attempt breakdowns with their SA convergence and
+/// Write a compile result's statistics and per-stage observability report
+/// as one JSON object value (format v2): scalar stats and stage timings,
+/// the per-restart and per-attempt breakdowns with their SA convergence and
 /// PathFinder time-series, the selected attempt's congestion census
 /// (histogram, top-K hottest cells, text heatmap), and the trace metrics
 /// registry snapshot. tools/tqec_report renders this into a run report.
+void write_stats_json(json::Writer& w, const CompileResult& result);
+
+/// write_stats_json as a standalone one-line document plus a newline.
 std::string stats_json(const CompileResult& result);
 
 }  // namespace tqec::core

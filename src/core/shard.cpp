@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -39,13 +39,9 @@ struct WindowOutcome {
   bool legal = false;
   std::int64_t volume = 0;
   std::int64_t canonical_volume = 0;
-  int modules = 0, nodes = 0;
-  int ishape_merges = 0, primal_bridges = 0, dual_bridges = 0;
-  int net_components = 0;
-  double pd_graph_s = 0, ishape_s = 0, primal_bridge_s = 0;
-  double dual_bridge_s = 0, place_s = 0, route_s = 0;
-  double place_route_wall_s = 0, total_s = 0;
-  PlaceAttemptStats selected;  // the winning attempt (curves omitted)
+  TQEC_COUNT_FIELDS(TQEC_STATS_MEMBER)
+  StageTimings timings;        // scalars only (no per-attempt breakdown)
+  PlaceAttemptStats selected;  // the winning attempt (series omitted)
   geom::GeomDescription geometry;  // normalized: bounding box lo == origin
   std::vector<std::pair<int, Vec3>> carry_in;   // global line -> cell
   std::vector<std::pair<int, Vec3>> carry_out;
@@ -86,14 +82,6 @@ std::string options_fingerprint(const CompileOptions& o,
   return os.str();
 }
 
-std::string digest_hex(const Digest128& d) {
-  char buf[33];
-  std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(d.lo),
-                static_cast<unsigned long long>(d.hi));
-  return buf;
-}
-
 /// Content hash of one window: its canonical ICM text (carry flags
 /// included), the result-affecting options, and its position in the plan.
 /// The ICM serializer streams straight into the digest — FNV-1a chunks
@@ -110,7 +98,7 @@ std::string window_digest(const icm::IcmCircuit& window_circuit,
   std::ostream os(&sb);
   icm::write_icm(window_circuit, os);
   os.flush();
-  return digest_hex(sb.digest());
+  return sb.digest().hex();
 }
 
 // ---------------------------------------------------------------------------
@@ -120,24 +108,40 @@ void write_vec3(std::ostream& out, Vec3 v) {
   out << v.x << ' ' << v.y << ' ' << v.z;
 }
 
+// The `counts`, `timings` and `attempt` lines hold every field of their
+// list, in list order (bools as 0/1, doubles at 17 significant digits, so
+// they read back bit-exact). The attempt's `selected` flag is implied — a
+// record holds its window's selected attempt — and never written.
+bool implied_field(std::string_view name) { return name == "selected"; }
+
+/// Visitor callback appending each field as one space-separated token.
+struct WriteTokens {
+  std::ostream& out;
+  template <typename T>
+  void operator()(const char* name, const T& v) const {
+    if (implied_field(name)) return;
+    if constexpr (std::is_same_v<T, bool>)
+      out << ' ' << (v ? 1 : 0);
+    else
+      out << ' ' << v;
+  }
+};
+
 void write_checkpoint(std::ostream& out, const std::string& digest,
                       int index, int total, const WindowOutcome& o) {
   out << std::setprecision(17);
-  out << "tqecck 1\n";
+  out << "tqecck 2\n";
   out << "digest " << digest << "\n";
   out << "window " << index << ' ' << total << "\n";
   out << "legal " << (o.legal ? 1 : 0) << "\n";
   out << "volume " << o.volume << ' ' << o.canonical_volume << "\n";
-  out << "counts " << o.modules << ' ' << o.nodes << ' ' << o.ishape_merges
-      << ' ' << o.primal_bridges << ' ' << o.dual_bridges << ' '
-      << o.net_components << "\n";
-  out << "timings " << o.pd_graph_s << ' ' << o.ishape_s << ' '
-      << o.primal_bridge_s << ' ' << o.dual_bridge_s << ' ' << o.place_s
-      << ' ' << o.route_s << ' ' << o.place_route_wall_s << ' ' << o.total_s
-      << "\n";
-  out << "attempt " << o.selected.seed << ' ' << o.selected.volume << ' '
-      << (o.selected.legal ? 1 : 0) << ' ' << o.selected.y_gap << ' '
-      << o.selected.place_s << ' ' << o.selected.route_s << "\n";
+  out << "counts";
+  visit_count_fields(WriteTokens{out}, o);
+  out << "\ntimings";
+  visit_timing_fields(WriteTokens{out}, o.timings);
+  out << "\nattempt";
+  visit_attempt_fields(WriteTokens{out}, o.selected);
+  out << "\n";
   for (const auto& [line, cell] : o.carry_in) {
     out << "carry_in " << line << ' ';
     write_vec3(out, cell);
@@ -209,6 +213,40 @@ bool parse_vec3(const std::vector<std::string>& t, std::size_t at, Vec3& v) {
          take(try_parse_int(t[at + 2]), v.z);
 }
 
+bool parse_token(std::string_view s, bool& v) {
+  int i = 0;
+  if (!take(try_parse_int(s), i)) return false;
+  v = i != 0;
+  return true;
+}
+bool parse_token(std::string_view s, int& v) {
+  return take(try_parse_int(s), v);
+}
+bool parse_token(std::string_view s, std::int64_t& v) {
+  return take(try_parse_i64(s), v);
+}
+bool parse_token(std::string_view s, std::uint64_t& v) {
+  return take(try_parse_u64(s), v);
+}
+bool parse_token(std::string_view s, double& v) {
+  return take(try_parse_double(s), v);
+}
+
+/// Visitor callback reading a record line's tokens (after the keyword)
+/// into the visited fields; done() is true when every field parsed and no
+/// token is left over.
+struct ReadTokens {
+  const std::vector<std::string>& t;
+  std::size_t next = 1;
+  bool ok = true;
+  template <typename T>
+  void operator()(const char* name, T& v) {
+    if (implied_field(name)) return;
+    ok = ok && next < t.size() && parse_token(t[next++], v);
+  }
+  bool done() const { return ok && next == t.size(); }
+};
+
 std::optional<WindowOutcome> read_checkpoint(std::istream& in,
                                              const std::string& digest,
                                              int index, int total) {
@@ -230,7 +268,7 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
     const std::string& kw = t[0];
     int i1 = 0, i2 = 0;
     if (kw == "tqecck") {
-      if (t.size() < 2 || t[1] != "1") return std::nullopt;
+      if (t.size() < 2 || t[1] != "2") return std::nullopt;
       header = true;
     } else if (!header) {
       return std::nullopt;
@@ -250,30 +288,19 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
           !take(try_parse_i64(t[2]), o.canonical_volume))
         return std::nullopt;
     } else if (kw == "counts") {
-      int* c[6] = {&o.modules, &o.nodes, &o.ishape_merges,
-                   &o.primal_bridges, &o.dual_bridges, &o.net_components};
-      if (t.size() != 7) return std::nullopt;
-      for (std::size_t i = 0; i < 6; ++i)
-        if (!take(try_parse_int(t[i + 1]), *c[i])) return std::nullopt;
+      ReadTokens fields{t};
+      visit_count_fields(fields, o);
+      if (!fields.done()) return std::nullopt;
     } else if (kw == "timings") {
-      double* d[8] = {&o.pd_graph_s, &o.ishape_s, &o.primal_bridge_s,
-                      &o.dual_bridge_s, &o.place_s, &o.route_s,
-                      &o.place_route_wall_s, &o.total_s};
-      if (t.size() != 9) return std::nullopt;
-      for (std::size_t i = 0; i < 8; ++i)
-        if (!take(try_parse_double(t[i + 1]), *d[i])) return std::nullopt;
+      ReadTokens fields{t};
+      visit_timing_fields(fields, o.timings);
+      if (!fields.done()) return std::nullopt;
     } else if (kw == "attempt") {
       // Attempt seeds are splitmix64 outputs: full u64 range.
-      PlaceAttemptStats& a = o.selected;
-      if (t.size() != 7 || !take(try_parse_u64(t[1]), a.seed) ||
-          !take(try_parse_i64(t[2]), a.volume) ||
-          !take(try_parse_int(t[3]), i1) ||
-          !take(try_parse_int(t[4]), a.y_gap) ||
-          !take(try_parse_double(t[5]), a.place_s) ||
-          !take(try_parse_double(t[6]), a.route_s))
-        return std::nullopt;
-      a.legal = i1 != 0;
-      a.selected = true;
+      ReadTokens fields{t};
+      visit_attempt_fields(fields, o.selected);
+      if (!fields.done()) return std::nullopt;
+      o.selected.selected = true;
     } else if (kw == "carry_in" || kw == "carry_out") {
       Vec3 cell;
       if (t.size() != 5 || !take(try_parse_int(t[1]), i1) ||
@@ -372,19 +399,19 @@ void write_manifest(const fs::path& dir, const std::string& name,
                     const std::vector<std::string>& digests) {
   std::ofstream out(dir / "manifest.json");
   if (!out) return;
-  out << "{\n  \"name\": \"" << json::escape(name) << "\",\n";
-  out << "  \"shard_window\": " << shard.window << ",\n";
-  out << "  \"depth\": " << plan.depth << ",\n";
-  out << "  \"windows\": [";
-  for (std::size_t w = 0; w < plan.windows.size(); ++w) {
-    if (w) out << ",";
-    out << "\n    {\"index\": " << w << ", \"layer_lo\": "
-        << plan.windows[w].layer_lo << ", \"layer_hi\": "
-        << plan.windows[w].layer_hi << ", \"digest\": \"" << digests[w]
-        << "\", \"file\": \""
-        << checkpoint_filename(static_cast<int>(w), digests[w]) << "\"}";
+  json::Writer w;
+  w.begin_object().field("name", name).field("shard_window", shard.window);
+  w.field("depth", plan.depth).key("windows").begin_array();
+  for (std::size_t i = 0; i < plan.windows.size(); ++i) {
+    w.begin_object().field("index", i);
+    w.field("layer_lo", plan.windows[i].layer_lo);
+    w.field("layer_hi", plan.windows[i].layer_hi);
+    w.field("digest", digests[i]);
+    w.field("file", checkpoint_filename(static_cast<int>(i), digests[i]));
+    w.end_object();
   }
-  out << "\n  ]\n}\n";
+  w.end_array().end_object();
+  out << w.str() << "\n";
 }
 
 }  // namespace
@@ -609,27 +636,14 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
     o.legal = r.routed_legal;
     o.volume = r.volume;
     o.canonical_volume = r.canonical_volume;
-    o.modules = r.modules;
-    o.nodes = r.nodes;
-    o.ishape_merges = r.ishape_merges;
-    o.primal_bridges = r.primal_bridges;
-    o.dual_bridges = r.dual_bridges;
-    o.net_components = r.net_components;
-    o.pd_graph_s = r.timings.pd_graph_s;
-    o.ishape_s = r.timings.ishape_s;
-    o.primal_bridge_s = r.timings.primal_bridge_s;
-    o.dual_bridge_s = r.timings.dual_bridge_s;
-    o.place_s = r.timings.place_s;
-    o.route_s = r.timings.route_s;
-    o.place_route_wall_s = r.timings.place_route_wall_s;
-    o.total_s = r.timings.total_s;
+    const auto assign = [](const char*, auto& dst, const auto& src) {
+      dst = src;
+    };
+    visit_count_fields(assign, o, r);
+    visit_timing_fields(assign, o.timings, r.timings);
     for (const PlaceAttemptStats& a : r.timings.attempts)
       if (a.selected) {
-        o.selected = a;
-        o.selected.sa_curve.clear();
-        o.selected.sa_replica_curves.clear();
-        o.selected.route_overused_per_iter.clear();
-        o.selected.route_reroutes_per_iter.clear();
+        visit_attempt_fields(assign, o.selected, a);
         break;
       }
 
@@ -740,6 +754,7 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
   result.shard.issues = stitched.issues;
 
   bool windows_legal = true;
+  const auto add = [](const char*, auto& sum, const auto& v) { sum += v; };
   for (std::size_t w = 0; w < n; ++w) {
     const WindowOutcome& o = outcomes[w];
     if (o.resumed) ++result.shard.windows_resumed;
@@ -749,20 +764,11 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
                                     ": not legally routed");
     }
     result.shard.window_volumes.push_back(o.volume);
-    result.modules += o.modules;
-    result.nodes += o.nodes;
-    result.ishape_merges += o.ishape_merges;
-    result.primal_bridges += o.primal_bridges;
-    result.dual_bridges += o.dual_bridges;
-    result.net_components += o.net_components;
-    result.timings.pd_graph_s += o.pd_graph_s;
-    result.timings.ishape_s += o.ishape_s;
-    result.timings.primal_bridge_s += o.primal_bridge_s;
-    result.timings.dual_bridge_s += o.dual_bridge_s;
-    result.timings.place_s += o.place_s;
-    result.timings.route_s += o.route_s;
+    visit_count_fields(add, result, o);
+    visit_timing_fields(add, result.timings, o.timings);
     result.timings.attempts.push_back(o.selected);
   }
+  // Not sums: the window phase's and the whole run's own wall clocks.
   result.timings.place_route_wall_s = windows_wall_s;
 
   // Cross-window measurement order: window w sits at strictly smaller x
@@ -833,15 +839,7 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
                      static_cast<double>(result.shard.stitches));
     trace::gauge_set("shard.seam_cells",
                      static_cast<double>(result.shard.seam_cells));
-    trace::gauge_set("geom.grid_build_s", result.geom.grid_build_s);
-    trace::gauge_set("geom.grid_bytes",
-                     static_cast<double>(result.geom.grid_bytes));
-    trace::gauge_set("geom.exact_cells",
-                     static_cast<double>(result.geom.exact_cells));
-    trace::gauge_set("geom.segments",
-                     static_cast<double>(result.geom.segments));
-    trace::gauge_set("geom.arena_bytes",
-                     static_cast<double>(result.geom.arena_bytes));
+    publish_geom_gauges(result.geom);
     trace::gauge_set("process.peak_rss_bytes",
                      static_cast<double>(result.peak_rss_bytes));
     result.metrics = trace::snapshot_metrics();

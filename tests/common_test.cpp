@@ -1,7 +1,9 @@
 // Unit tests for the common substrate: geometry primitives, deterministic
-// RNG, union-find, string helpers, and log formatting.
+// RNG, union-find, string helpers, JSON reading and writing, and log
+// formatting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <iostream>
 #include <limits>
@@ -285,6 +287,93 @@ TEST(JsonTest, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(doc.at("missing"), TqecError);
 }
 
+TEST(JsonWriterTest, NestsAndPlacesCommas) {
+  json::Writer w;
+  w.begin_object().field("a", 1).key("list").begin_array();
+  w.value(true).begin_object().end_object().begin_array().end_array();
+  w.null().begin_array().value(2).value("x").end_array();
+  w.end_array().key("empty").begin_object().end_object();
+  w.key("nested").begin_object().field("k", false).end_object();
+  w.field("s", "t").end_object();
+  EXPECT_EQ(w.str(),
+            R"({"a": 1, "list": [true, {}, [], null, [2, "x"]], )"
+            R"("empty": {}, "nested": {"k": false}, "s": "t"})");
+  EXPECT_NO_THROW(json::parse(w.str()));
+
+  json::Writer top;  // a bare top-level value takes no separator
+  top.value(7);
+  EXPECT_EQ(top.str(), "7");
+  json::Writer list;
+  list.array(std::vector<int>{3, 1, 2});
+  EXPECT_EQ(list.str(), "[3, 1, 2]");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndStringsThroughEscape) {
+  const std::string nasty = std::string("q\"b\\n\nc\t\x01", 9) + "\xc3\xa9";
+  json::Writer w;
+  w.begin_object().field(nasty, nasty).end_object();
+  EXPECT_EQ(w.str(), "{\"" + json::escape(nasty) + "\": \"" +
+                         json::escape(nasty) + "\"}");
+  EXPECT_EQ(w.str().find('\n'), std::string::npos);  // stays one line
+  const json::Value doc = json::parse(w.str());
+  ASSERT_EQ(doc.object.size(), 1u);
+  EXPECT_EQ(doc.object[0].first, nasty);
+  EXPECT_EQ(doc.object[0].second.as_string(), nasty);
+}
+
+TEST(JsonWriterTest, IntegerExtremesAreExact) {
+  json::Writer w;
+  w.begin_array().value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(-1).value(0u).value(static_cast<short>(-7)).end_array();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808, 18446744073709551615, "
+            "9223372036854775807, -1, 0, -7]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitExact) {
+  const double values[] = {0.1,
+                           1.0 / 3.0,
+                           -2.5,
+                           1e-300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest(),
+                           123456.789,
+                           0.0,
+                           -0.0,
+                           1e21,
+                           2.0 / 7.0 * 1e-7,
+                           9007199254740993.0};
+  for (const double v : values) {
+    json::Writer w;
+    w.value(v);
+    const json::Value doc = json::parse(w.str());
+    ASSERT_TRUE(doc.is_number()) << w.str();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(doc.as_double()),
+              std::bit_cast<std::uint64_t>(v))
+        << w.str();
+  }
+  // Shortest form: no padding digits.
+  json::Writer w;
+  w.begin_array().value(0.1).value(1.0).value(2.5e-7).end_array();
+  EXPECT_EQ(w.str(), "[0.1, 1, 2.5e-07]");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreNull) {
+  json::Writer w;
+  w.begin_object().field("nan", std::numeric_limits<double>::quiet_NaN());
+  w.field("inf", std::numeric_limits<double>::infinity());
+  w.field("ninf", -std::numeric_limits<double>::infinity());
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"nan": null, "inf": null, "ninf": null})");
+  const json::Value doc = json::parse(w.str());
+  EXPECT_TRUE(doc.at("nan").is_null());
+  EXPECT_TRUE(doc.at("inf").is_null());
+  EXPECT_TRUE(doc.at("ninf").is_null());
+}
+
 
 TEST(ParseNumberTest, TryFormsAcceptValidRejectMalformed) {
   EXPECT_EQ(try_parse_i64("42"), 42);
@@ -357,6 +446,14 @@ TEST(Fnv1aTest, KnownVectorsAndChaining) {
   Digest128 e;
   e.update("hellp");
   EXPECT_TRUE(d.lo != e.lo || d.hi != e.hi);
+}
+
+TEST(Fnv1aTest, Digest128HexIsLoThenHi) {
+  Digest128 d;
+  d.lo = 0x0123456789abcdefull;
+  d.hi = 0xfedcba9876543210ull;
+  EXPECT_EQ(d.hex(), "0123456789abcdeffedcba9876543210");
+  EXPECT_EQ(Digest128{}.hex().size(), 32u);
 }
 
 TEST(LoggingTest, Iso8601UtcNowIsWellFormed) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/json.h"
@@ -25,6 +27,33 @@ CompileResult compile_mode(const icm::IcmCircuit& circuit, PipelineMode mode,
   opt.seed = seed;
   return compile(circuit, opt);
 }
+
+/// Visitor callback for stats_json round trips: every visited scalar must
+/// parse back from `obj` equal — doubles bit-exact — and the members must
+/// appear in field-list order. Integers compare at double precision (the
+/// reader stores numbers as double; derived seeds use the full u64 range).
+struct ExpectParsedBack {
+  const json::Value& obj;
+  std::size_t prev = 0;
+  bool first = true;
+
+  template <typename T>
+  void operator()(const char* name, const T& v) {
+    std::size_t pos = 0;
+    while (pos < obj.object.size() && obj.object[pos].first != name) ++pos;
+    ASSERT_LT(pos, obj.object.size()) << "missing " << name;
+    EXPECT_TRUE(first || pos > prev) << name << " out of list order";
+    first = false;
+    prev = pos;
+    const json::Value& got = obj.object[pos].second;
+    if constexpr (std::is_same_v<T, bool>)
+      EXPECT_EQ(got.as_bool(), v) << name;
+    else if constexpr (std::is_same_v<T, std::string>)
+      EXPECT_EQ(got.as_string(), v) << name;
+    else
+      EXPECT_EQ(got.as_double(), static_cast<double>(v)) << name;
+  }
+};
 
 TEST(Fig1Test, CanonicalVolumeIs54) {
   const icm::IcmCircuit circuit = three_cnot_example();
@@ -274,6 +303,30 @@ TEST(CompileTest, StatsJsonV2RoundTrips) {
   EXPECT_TRUE(metrics.at("counters").is_object());
   EXPECT_TRUE(metrics.at("gauges").is_object());
   EXPECT_TRUE(metrics.at("series").is_object());
+
+  // Every scalar of every field list parses back equal, in list order.
+  visit_count_fields(ExpectParsedBack{doc}, r);
+  visit_timing_fields(ExpectParsedBack{timings}, r.timings);
+  for (std::size_t k = 0; k < attempts.array.size(); ++k) {
+    SCOPED_TRACE("attempt " + std::to_string(k));
+    visit_attempt_fields(ExpectParsedBack{attempts.array[k]},
+                         r.timings.attempts[k]);
+  }
+  visit_geom_fields(ExpectParsedBack{doc.at("geom")}, r.geom);
+  visit_shard_fields(ExpectParsedBack{doc.at("shard")}, r.shard);
+  visit_cache_fields(ExpectParsedBack{doc.at("cache")}, r.cache);
+  EXPECT_GT(r.geom.exact_cells, 0);  // the geom record is not all defaults
+
+  // The SA curves round-trip bit-exact too.
+  const json::Value& curve = attempts.array[0].at("sa_curve");
+  const PlaceAttemptStats& first = r.timings.attempts[0];
+  for (std::size_t i = 0; i < first.sa_curve.size(); ++i) {
+    EXPECT_EQ(curve.at("cost").array[i].as_double(), first.sa_curve[i].cost);
+    EXPECT_EQ(curve.at("temperature").array[i].as_double(),
+              first.sa_curve[i].temperature);
+    EXPECT_EQ(curve.at("accept_rate").array[i].as_double(),
+              first.sa_curve[i].accept_rate);
+  }
 }
 
 TEST(CompileTest, StatsJsonV2EmbedsMetricsWhenTracingEnabled) {

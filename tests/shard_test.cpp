@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
@@ -284,6 +285,34 @@ TEST_F(CheckpointTest, ResumeAfterPartialKill) {
       core::compile_sharded(circuit, opt, shard);
   EXPECT_EQ(full.shard.windows_resumed, full.shard.windows_total);
   EXPECT_EQ(geom::to_json(full.geometry), geom::to_json(fresh.geometry));
+
+  // Every scalar of every attempt survives its checkpoint record
+  // bit-exact: the fully resumed run reports the fresh run's work, and
+  // the wall-clock times of whichever run compiled each window last (the
+  // partial run recompiled the deleted ones).
+  core::visit_count_fields(
+      [](const char* name, int got, int want) { EXPECT_EQ(got, want) << name; },
+      full, fresh);
+  ASSERT_EQ(full.timings.attempts.size(), fresh.timings.attempts.size());
+  ASSERT_EQ(resumed.timings.attempts.size(), fresh.timings.attempts.size());
+  for (std::size_t k = 0; k < full.timings.attempts.size(); ++k) {
+    SCOPED_TRACE("window " + std::to_string(k));
+    core::visit_attempt_fields(
+        [](const char* name, const auto& got, const auto& last,
+           const auto& first) {
+          EXPECT_EQ(got, last) << name;
+          const std::string_view n(name);
+          if (!n.ends_with("_s") && !n.ends_with("_per_sec")) {
+            EXPECT_EQ(got, first) << name;
+          }
+        },
+        full.timings.attempts[k], resumed.timings.attempts[k],
+        fresh.timings.attempts[k]);
+  }
+  std::int64_t pops = 0;
+  for (const core::PlaceAttemptStats& a : full.timings.attempts)
+    pops += a.route_queue_pops;
+  EXPECT_GT(pops, 0);
 }
 
 TEST_F(CheckpointTest, CorruptRecordFailsSoft) {

@@ -264,8 +264,9 @@ TEST_F(TraceTest, HistogramJsonRendersBucketsAndInf) {
   trace::Histogram h("json");
   h.record_s(0.5);
   h.record_s(1000.0);
-  const std::string text = trace::histogram_json(h.snapshot());
-  const json::Value doc = json::parse(text);
+  json::Writer w;
+  trace::write_histogram(w, h.snapshot());
+  const json::Value doc = json::parse(w.str());
   EXPECT_EQ(doc.at("count").as_int(), 2);
   EXPECT_GT(doc.at("mean_s").as_double(), 0);
   const json::Value& buckets = doc.at("buckets");

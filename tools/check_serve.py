@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """CI smoke check for tqec_serve.
 
-Drives the daemon interactively over stdin/stdout with three requests —
-two identical compiles and one malformed document — then issues the admin
-introspection commands and asserts:
-  * both compiles succeed with the same volume (bit-identical result);
+Drives the daemon interactively over stdin/stdout with four requests —
+two identical compiles, one malformed document, and a benchmark compile
+asking for the full stats report — then issues the admin introspection
+commands and asserts:
+  * both identical compiles succeed with the same volume (bit-identical
+    result);
   * the second compile is served from the stage cache (pd_graph = "hit");
   * the malformed request yields a structured parse_error naming the line;
+  * the "stats": true response arrives as one line (JSONL) embedding the
+    stats_json v2 report;
   * {"admin": "health"} reports the worker pool and an empty queue;
-  * {"admin": "metrics"} counts 3 requests (2 ok / 1 error), 1 cache hit
-    and 1 miss, and a serve.request_s histogram with exactly 3 samples;
+  * {"admin": "metrics"} counts 4 requests (3 ok / 1 error), 1 cache hit
+    and 2 misses, and a serve.request_s histogram with exactly 4 samples;
   * {"admin": "metrics_text"} is parseable OpenMetrics text exposition
     ending in "# EOF";
   * the access log holds one well-formed JSON line per request.
@@ -41,6 +45,7 @@ REQUESTS = [
     {"id": "a", "icm": ICM},
     {"id": "b", "icm": ICM},
     {"id": "broken", "icm": BROKEN},
+    {"id": "stats", "benchmark": "4gt10-v1_81", "stats": True},
 ]
 ADMIN = [
     {"id": "health", "admin": "health"},
@@ -55,14 +60,19 @@ def send(proc, doc):
 
 
 def read_responses(proc, expected_ids):
-    """Read response lines until every expected id has answered."""
+    """Read response lines until every expected id has answered. Each
+    response must be exactly one line that parses on its own (JSONL)."""
     responses = {}
     while set(responses) != set(expected_ids):
         line = proc.stdout.readline()
         assert line, f"tqec_serve closed stdout; got {sorted(responses)}"
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+        assert line.strip(), "blank line in the response stream"
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise AssertionError(
+                f"response is not one JSON line: {line[:200]!r}") from e
+        assert doc["id"] not in responses, f"duplicate response {doc['id']}"
         responses[doc["id"]] = doc
     return responses
 
@@ -80,6 +90,10 @@ def check_compiles(responses):
     assert not broken["ok"], broken
     assert broken["error"]["code"] == "parse_error", broken["error"]
     assert broken["error"]["line"] == 5, broken["error"]
+    stats = responses["stats"]
+    assert stats["ok"], stats
+    assert stats["stats"]["stats_version"] == 2, stats["stats"].keys()
+    assert stats["stats"]["volume"] == stats["volume"], stats["volume"]
     return a, b, broken
 
 
@@ -95,24 +109,25 @@ def check_metrics(metrics):
     assert metrics["ok"] and metrics["admin"] == "metrics", metrics
     serve = metrics["serve"]
     counters = serve["counters"]
-    assert counters["requests"] == 3, counters
-    assert counters["requests_ok"] == 2, counters
+    assert counters["requests"] == 4, counters
+    assert counters["requests_ok"] == 3, counters
     assert counters["requests_error"] == 1, counters
     assert counters["overloaded"] == 0, counters
     assert counters["responses_dropped"] == 0, counters
-    # The .icm script exercises exactly the pd_graph stage: one miss
-    # (request a), one hit (request b); broken fails before any lookup.
+    # The script exercises exactly the pd_graph stage: one miss (request
+    # a), one hit (request b), one miss (the benchmark, whose ICM is built
+    # in); broken fails before any lookup.
     assert counters["cache_hits"] == 1, counters
-    assert counters["cache_misses"] == 1, counters
+    assert counters["cache_misses"] == 2, counters
     cache = serve["cache"]
-    assert cache["hits"] == 1 and cache["misses"] == 1, cache
+    assert cache["hits"] == 1 and cache["misses"] == 2, cache
     hists = serve["histograms"]
     request_s = hists["serve.request_s"]
-    assert request_s["count"] == 3, request_s
-    assert sum(b["n"] for b in request_s["buckets"]) == 3, request_s
-    # All three requests were admitted, so all three waited in the queue.
-    assert hists["serve.queue_wait_s"]["count"] == 3, hists
-    assert hists["serve.cache_lookup_s"]["count"] == 2, hists
+    assert request_s["count"] == 4, request_s
+    assert sum(b["n"] for b in request_s["buckets"]) == 4, request_s
+    # All four requests were admitted, so all four waited in the queue.
+    assert hists["serve.queue_wait_s"]["count"] == 4, hists
+    assert hists["serve.cache_lookup_s"]["count"] == 3, hists
     return serve
 
 
@@ -141,12 +156,12 @@ def parse_openmetrics(text):
 def check_metrics_text(response):
     assert response["ok"] and response["admin"] == "metrics_text", response
     plain, buckets = parse_openmetrics(response["text"])
-    assert plain["tqec_serve_requests_total"] == 3, plain
-    assert plain["tqec_serve_requests_ok_total"] == 2, plain
+    assert plain["tqec_serve_requests_total"] == 4, plain
+    assert plain["tqec_serve_requests_ok_total"] == 3, plain
     assert plain["tqec_serve_requests_error_total"] == 1, plain
     assert plain["tqec_serve_workers"] == 1, plain
-    assert plain["tqec_serve_request_s_count"] == 3, plain
-    assert buckets[("tqec_serve_request_s_bucket", "+Inf")] == 3, buckets
+    assert plain["tqec_serve_request_s_count"] == 4, plain
+    assert buckets[("tqec_serve_request_s_bucket", "+Inf")] == 4, buckets
     # Cumulative buckets are monotone and end at _count.
     series = [v for (m, _), v in sorted(buckets.items())
               if m == "tqec_serve_request_s_bucket"]
@@ -157,7 +172,7 @@ def check_metrics_text(response):
 def check_access_log(path):
     with open(path) as f:
         lines = [line for line in f.read().splitlines() if line.strip()]
-    assert len(lines) == 3, f"expected 3 access-log lines, got {len(lines)}"
+    assert len(lines) == 4, f"expected 4 access-log lines, got {len(lines)}"
     entries = {}
     for line in lines:
         doc = json.loads(line)  # each line must be well-formed JSON
@@ -165,9 +180,10 @@ def check_access_log(path):
                     "code"):
             assert key in doc, f"access-log line missing {key!r}: {doc}"
         entries[doc["id"]] = doc
-    assert set(entries) == {"a", "b", "broken"}, sorted(entries)
+    assert set(entries) == {"a", "b", "broken", "stats"}, sorted(entries)
     assert entries["a"]["code"] == "ok", entries["a"]
     assert entries["b"]["code"] == "ok", entries["b"]
+    assert entries["stats"]["code"] == "ok", entries["stats"]
     assert entries["broken"]["code"] == "parse_error", entries["broken"]
     # Identical inputs carry identical content digests; the broken one
     # differs.

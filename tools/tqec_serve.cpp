@@ -69,6 +69,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -197,67 +198,66 @@ class AccessLog {
   std::FILE* file_;
 };
 
-std::string quoted(const std::string& s) {
-  return "\"" + json::escape(s) + "\"";
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
+/// Start a response object: {"id": id, "ok": ok, ... (caller closes it).
+json::Writer& begin_response(json::Writer& w, const std::string& id,
+                             bool ok) {
+  return w.begin_object().field("id", id).field("ok", ok);
 }
 
 std::string error_line(const std::string& id, const std::string& code,
                        const std::string& message,
                        const std::string& source = {}, int line = 0) {
-  std::string out = "{\"id\": " + quoted(id) +
-                    ", \"ok\": false, \"error\": {\"code\": " + quoted(code) +
-                    ", \"message\": " + quoted(message);
-  if (!source.empty())
-    out += ", \"source\": " + quoted(source) +
-           ", \"line\": " + std::to_string(line);
-  return out + "}}";
+  json::Writer w;
+  begin_response(w, id, false).key("error").begin_object();
+  w.field("code", code).field("message", message);
+  if (!source.empty()) w.field("source", source).field("line", line);
+  w.end_object().end_object();
+  return w.str();
+}
+
+/// The span tree a slow request attaches to its response and access line.
+struct SlowCapture {
+  double threshold_s = 0;
+  std::vector<trace::FlightRecord> spans;
+};
+
+/// {"slow": true, "threshold_s": T, "spans": [{name, start_s, dur_s,
+/// tid}, ...]} with process-relative span times.
+void write_debug(json::Writer& w, const SlowCapture& slow) {
+  w.begin_object().field("slow", true).field("threshold_s", slow.threshold_s);
+  w.key("spans").begin_array();
+  for (const trace::FlightRecord& s : slow.spans) {
+    w.begin_object().field("name", s.name ? s.name : "");
+    w.field("start_s", static_cast<double>(s.start_ns) / 1e9);
+    w.field("dur_s", static_cast<double>(s.dur_ns) / 1e9);
+    w.field("tid", s.tid).end_object();
+  }
+  w.end_array().end_object();
 }
 
 std::string response_line(const std::string& id, const CompileResponse& r,
-                          bool want_stats, const std::string& debug = {}) {
+                          bool want_stats,
+                          const std::optional<SlowCapture>& slow) {
   if (!r.ok)
     return error_line(id, r.error.code_name(), r.error.message,
                       r.error.source, r.error.line);
   const core::CompileResult& res = r.result;
-  const core::CacheUsage& c = res.cache;
-  std::string out =
-      "{\"id\": " + quoted(id) + ", \"ok\": true, \"volume\": " +
-      std::to_string(res.volume) +
-      ", \"legal\": " + (res.routed_legal ? "true" : "false") +
-      ", \"modules\": " + std::to_string(res.modules) +
-      ", \"nodes\": " + std::to_string(res.nodes) +
-      ", \"wall_s\": " + fmt_double(r.wall_s) +
-      ", \"cache\": {\"enabled\": " + (c.enabled ? "true" : "false") +
-      ", \"decompose\": " + quoted(c.decompose) +
-      ", \"icm\": " + quoted(c.icm) +
-      ", \"pd_graph\": " + quoted(c.pd_graph) +
-      ", \"hits\": " + std::to_string(c.hits) +
-      ", \"misses\": " + std::to_string(c.misses) +
-      ", \"entries\": " + std::to_string(c.entries) +
-      ", \"bytes\": " + std::to_string(c.bytes) +
-      ", \"evictions\": " + std::to_string(c.evictions) + "}";
+  json::Writer w;
+  begin_response(w, id, true).field("volume", res.volume);
+  w.field("legal", res.routed_legal).field("modules", res.modules);
+  w.field("nodes", res.nodes).field("wall_s", r.wall_s);
+  w.key("cache").begin_object();
+  core::visit_cache_fields(core::JsonMembers{w}, res.cache);
+  w.end_object();
   if (res.shard.enabled) {
-    const core::ShardStats& sh = res.shard;
-    out += ", \"shard\": {\"windows_total\": " +
-           std::to_string(sh.windows_total) +
-           ", \"windows_resumed\": " + std::to_string(sh.windows_resumed) +
-           ", \"crossings\": " + std::to_string(sh.crossings) +
-           ", \"stitches\": " + std::to_string(sh.stitches) +
-           ", \"seam_cells\": " + std::to_string(sh.seam_cells) +
-           ", \"stitch_s\": " + fmt_double(sh.stitch_s) + "}";
+    w.key("shard").begin_object();
+    core::visit_shard_fields(core::JsonMembers{w}, res.shard);
+    w.end_object();
   }
-  if (want_stats) {
-    // stats_json emits a complete JSON object: splice it in verbatim.
-    out += ", \"stats\": " + core::stats_json(res);
-  }
-  if (!debug.empty()) out += ", \"debug\": " + debug;
-  return out + "}";
+  if (want_stats) core::write_stats_json(w.key("stats"), res);
+  if (slow) write_debug(w.key("debug"), *slow);
+  w.end_object();
+  return w.str();
 }
 
 const char* mode_name(core::PipelineMode mode) {
@@ -294,48 +294,24 @@ struct RequestMeta {
   std::string id;
   const char* kind = "unknown";  // benchmark | real | icm | unknown
   std::string digest;            // 32-hex-char content digest of the input
-  std::string options_json;      // applied options, already serialized
-  std::uint64_t t_recv = 0;      // trace::now_ns() at the read loop
+  /// Applied options (absent for requests rejected before parsing them).
+  std::optional<core::CompileOptions> options;
+  core::ShardOptions shard;
+  std::uint64_t t_recv = 0;  // trace::now_ns() at the read loop
 };
 
-std::string digest_hex(const std::string& text) {
-  Digest128 d;
-  d.update(text);
-  char buf[36];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(d.hi),
-                static_cast<unsigned long long>(d.lo));
-  return buf;
-}
-
-std::string options_json(const CompileRequest& req) {
-  const core::CompileOptions& o = req.options;
-  std::string out =
-      std::string("{\"mode\": ") + quoted(mode_name(o.mode)) +
-      ", \"seed\": " + std::to_string(o.seed) +
-      ", \"effort\": " + fmt_double(o.effort) +
-      ", \"jobs\": " + std::to_string(o.jobs) +
-      ", \"place_restarts\": " + std::to_string(o.place_restarts) +
-      ", \"plan\": " + (o.plan_flips ? "true" : "false");
-  if (req.shard.window > 0)
-    out += ", \"shard_window\": " + std::to_string(req.shard.window) +
-           ", \"shard_threads\": " + std::to_string(req.shard.threads);
-  return out + "}";
-}
-
-/// Completed spans as a JSON array (names, process-relative start, dur).
-std::string spans_json(const std::vector<trace::FlightRecord>& spans) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const trace::FlightRecord& s = spans[i];
-    if (i > 0) out += ", ";
-    out += "{\"name\": " + quoted(s.name ? s.name : "") +
-           ", \"start_s\": " +
-           fmt_double(static_cast<double>(s.start_ns) / 1e9) +
-           ", \"dur_s\": " + fmt_double(static_cast<double>(s.dur_ns) / 1e9) +
-           ", \"tid\": " + std::to_string(s.tid) + "}";
+/// The request's applied options as a JSON object ({} when absent).
+void write_options(json::Writer& w, const RequestMeta& meta) {
+  w.begin_object();
+  if (const std::optional<core::CompileOptions>& o = meta.options) {
+    w.field("mode", mode_name(o->mode)).field("seed", o->seed);
+    w.field("effort", o->effort).field("jobs", o->jobs);
+    w.field("place_restarts", o->place_restarts).field("plan", o->plan_flips);
+    if (meta.shard.window > 0)
+      w.field("shard_window", meta.shard.window)
+          .field("shard_threads", meta.shard.threads);
   }
-  return out + "]";
+  w.end_object();
 }
 
 /// Always-on service counters. Plain relaxed atomics: each is a
@@ -378,6 +354,9 @@ class Server {
     // memory, lock-free record path, and it is what lets --slow-s attach
     // a span tree to a slow response after the fact.
     trace::set_flight_recorder_enabled(true);
+    core::visit_stage_fields([this](const char* name) {
+      stage_s_.emplace_back(std::string("serve.stage.") + name);
+    });
   }
 
   std::atomic<std::uint64_t>* dropped_counter() {
@@ -416,10 +395,9 @@ class Server {
         out->write_line(error_line("", "bad_request", e.what()));
         return;
       }
-      out->write_line("{\"id\": " + quoted(id) +
-                      ", \"ok\": " + (hit ? "true" : "false") +
-                      ", \"cancelled\": " + (hit ? "true" : "false") + "}",
-                      id);
+      json::Writer w;
+      begin_response(w, id, hit).field("cancelled", hit).end_object();
+      out->write_line(w.str(), id);
       return;
     }
 
@@ -466,17 +444,24 @@ class Server {
     }
 
     meta.id = req.id;
+    const std::string* input = nullptr;
     if (!req.benchmark.empty()) {
       meta.kind = "benchmark";
-      meta.digest = digest_hex(req.benchmark);
+      input = &req.benchmark;
     } else if (!req.real_text.empty()) {
       meta.kind = "real";
-      meta.digest = digest_hex(req.real_text);
+      input = &req.real_text;
     } else if (!req.icm_text.empty()) {
       meta.kind = "icm";
-      meta.digest = digest_hex(req.icm_text);
+      input = &req.icm_text;
     }
-    meta.options_json = options_json(req);
+    if (input != nullptr) {
+      Digest128 d;
+      d.update(*input);
+      meta.digest = d.hex();
+    }
+    meta.options = req.options;
+    meta.shard = req.shard;
 
     req.options.cancel = CancelToken();
     const std::string id = req.id;
@@ -520,7 +505,7 @@ class Server {
     const double wall_s = static_cast<double>(t_end - meta.t_recv) / 1e9;
     request_s_.record_s(wall_s);
     stats_.requests_total.fetch_add(1, std::memory_order_relaxed);
-    std::string debug;
+    std::optional<SlowCapture> slow;
     if (response.ok) {
       stats_.requests_ok.fetch_add(1, std::memory_order_relaxed);
       record_stage_times(response.result.timings);
@@ -540,21 +525,19 @@ class Server {
     } else {
       stats_.requests_error.fetch_add(1, std::memory_order_relaxed);
     }
-    const bool slow = slow_ns_ > 0 && t_end - t_start >= slow_ns_;
-    if (slow) {
+    if (slow_ns_ > 0 && t_end - t_start >= slow_ns_) {
       stats_.slow_requests.fetch_add(1, std::memory_order_relaxed);
       // This worker thread ran the whole compile, so its flight ring
       // filtered to spans that started after t_start is exactly this
       // request's (top-level) span tree.
-      debug = "{\"slow\": true, \"threshold_s\": " + fmt_double(slow_s_) +
-              ", \"spans\": " +
-              spans_json(trace::flight_records_this_thread(t_start)) + "}";
+      slow = SlowCapture{slow_s_, trace::flight_records_this_thread(t_start)};
     }
-    out->write_line(response_line(req.id, response, want_stats, debug),
+    out->write_line(response_line(req.id, response, want_stats, slow),
                     req.id);
     if (access_log_ != nullptr)
-      access_log_->write(access_line(meta, queue_wait_s, wall_s, &response,
-                                     debug));
+      access_log_->write(access_line(
+          meta, wall_s, response.ok ? "ok" : response.error.code_name(),
+          &response, queue_wait_s, slow ? &*slow : nullptr));
   }
 
   /// Answer a request rejected before it reached a worker (bad JSON,
@@ -571,73 +554,55 @@ class Server {
     stats_.requests_error.fetch_add(1, std::memory_order_relaxed);
     out->write_line(error_line(meta.id, code, message), meta.id);
     if (access_log_ != nullptr)
-      access_log_->write(access_line_rejected(meta, wall_s, code));
+      access_log_->write(access_line(meta, wall_s, code));
   }
 
   void record_stage_times(const core::StageTimings& t) {
     // Only stages that actually ran; a zero time means the stage was
     // skipped by the pipeline mode, not that it took zero seconds.
-    if (t.pd_graph_s > 0) stage_pd_graph_s_.record_s(t.pd_graph_s);
-    if (t.ishape_s > 0) stage_ishape_s_.record_s(t.ishape_s);
-    if (t.primal_bridge_s > 0)
-      stage_primal_bridge_s_.record_s(t.primal_bridge_s);
-    if (t.dual_bridge_s > 0) stage_dual_bridge_s_.record_s(t.dual_bridge_s);
-    if (t.place_s > 0) stage_place_s_.record_s(t.place_s);
-    if (t.route_s > 0) stage_route_s_.record_s(t.route_s);
+    std::size_t i = 0;
+    core::visit_stage_fields(
+        [&](const char*, double s) {
+          if (s > 0) stage_s_[i].record_s(s);
+          ++i;
+        },
+        t);
   }
 
   // -- access log -----------------------------------------------------------
 
-  std::string access_line_common(const RequestMeta& meta, double wall_s,
-                                 const std::string& code) const {
-    return "{\"ts\": " + quoted(iso8601_utc_now()) +
-           ", \"id\": " + quoted(meta.id) + ", \"kind\": \"" + meta.kind +
-           "\", \"digest\": " + quoted(meta.digest) + ", \"options\": " +
-           (meta.options_json.empty() ? std::string("{}")
-                                      : meta.options_json) +
-           ", \"wall_s\": " + fmt_double(wall_s) +
-           ", \"code\": " + quoted(code);
-  }
-
-  std::string access_line_rejected(const RequestMeta& meta, double wall_s,
-                                   const std::string& code) const {
-    return access_line_common(meta, wall_s, code) + "}";
-  }
-
-  std::string access_line(const RequestMeta& meta, double queue_wait_s,
-                          double wall_s, const CompileResponse* r,
-                          const std::string& debug) const {
-    const std::string code = r->ok ? "ok" : r->error.code_name();
-    std::string out = access_line_common(meta, wall_s, code) +
-                      ", \"queue_wait_s\": " + fmt_double(queue_wait_s);
-    if (r->ok) {
+  /// One access-log line. `r` is null for a request rejected before a
+  /// worker ran it: such lines carry no queue wait, result or debug.
+  std::string access_line(const RequestMeta& meta, double wall_s,
+                          const std::string& code,
+                          const CompileResponse* r = nullptr,
+                          double queue_wait_s = 0,
+                          const SlowCapture* slow = nullptr) const {
+    json::Writer w;
+    w.begin_object().field("ts", iso8601_utc_now()).field("id", meta.id);
+    w.field("kind", meta.kind).field("digest", meta.digest).key("options");
+    write_options(w, meta);
+    w.field("wall_s", wall_s).field("code", code);
+    if (r != nullptr) w.field("queue_wait_s", queue_wait_s);
+    if (r != nullptr && r->ok) {
       const core::CompileResult& res = r->result;
-      const core::StageTimings& t = res.timings;
-      const core::CacheUsage& c = res.cache;
-      out += ", \"volume\": " + std::to_string(res.volume) +
-             ", \"peak_rss_bytes\": " + std::to_string(res.peak_rss_bytes) +
-             ", \"stages\": {\"pd_graph_s\": " + fmt_double(t.pd_graph_s) +
-             ", \"ishape_s\": " + fmt_double(t.ishape_s) +
-             ", \"primal_bridge_s\": " + fmt_double(t.primal_bridge_s) +
-             ", \"dual_bridge_s\": " + fmt_double(t.dual_bridge_s) +
-             ", \"place_s\": " + fmt_double(t.place_s) +
-             ", \"route_s\": " + fmt_double(t.route_s) +
-             ", \"total_s\": " + fmt_double(t.total_s) + "}" +
-             ", \"cache\": {\"decompose\": " + quoted(c.decompose) +
-             ", \"icm\": " + quoted(c.icm) +
-             ", \"pd_graph\": " + quoted(c.pd_graph) +
-             ", \"hits\": " + std::to_string(c.hits) +
-             ", \"misses\": " + std::to_string(c.misses) + "}";
-      if (res.shard.enabled)
-        out += ", \"shard\": {\"windows_total\": " +
-               std::to_string(res.shard.windows_total) +
-               ", \"windows_resumed\": " +
-               std::to_string(res.shard.windows_resumed) +
-               ", \"seam_cells\": " + std::to_string(res.shard.seam_cells) +
-               "}";
+      w.field("volume", res.volume);
+      w.field("peak_rss_bytes", res.peak_rss_bytes).key("stages");
+      w.begin_object();
+      core::visit_timing_fields(core::JsonMembers{w}, res.timings);
+      w.end_object().key("cache").begin_object();
+      core::visit_cache_fields(core::JsonMembers{w}, res.cache);
+      w.end_object();
+      if (res.shard.enabled) {
+        w.key("shard").begin_object();
+        core::visit_shard_fields(core::JsonMembers{w}, res.shard);
+        w.end_object();
+      }
     }
-    if (!debug.empty()) out += ", \"slow\": true, \"debug\": " + debug;
-    return out + "}";
+    if (slow != nullptr)
+      write_debug(w.field("slow", true).key("debug"), *slow);
+    w.end_object();
+    return w.str();
   }
 
   // -- admin protocol -------------------------------------------------------
@@ -658,11 +623,10 @@ class Server {
     } else if (what == "metrics") {
       out->write_line(metrics_line(id), id);
     } else if (what == "metrics_text") {
-      out->write_line("{\"id\": " + quoted(id) +
-                          ", \"ok\": true, \"admin\": \"metrics_text\", "
-                          "\"text\": " +
-                          quoted(openmetrics()) + "}",
-                      id);
+      json::Writer w;
+      begin_response(w, id, true).field("admin", "metrics_text");
+      w.field("text", openmetrics()).end_object();
+      out->write_line(w.str(), id);
     } else {
       out->write_line(error_line(id, "bad_request",
                                  "unknown admin command '" + what +
@@ -676,27 +640,31 @@ class Server {
   }
 
   std::string health_line(const std::string& id) {
-    return "{\"id\": " + quoted(id) +
-           ", \"ok\": true, \"admin\": \"health\", \"uptime_s\": " +
-           fmt_double(uptime_s()) + ", \"inflight\": " +
-           std::to_string(stats_.inflight.load(std::memory_order_relaxed)) +
-           ", \"queue_depth\": " + std::to_string(pool_.pending()) +
-           ", \"workers\": " + std::to_string(pool_.worker_count()) + "}";
+    json::Writer w;
+    begin_response(w, id, true).field("admin", "health");
+    w.field("uptime_s", uptime_s());
+    write_load(w);
+    w.end_object();
+    return w.str();
+  }
+
+  /// The inflight / queue_depth / workers members of health and metrics.
+  void write_load(json::Writer& w) const {
+    w.field("inflight", stats_.inflight.load(std::memory_order_relaxed));
+    w.field("queue_depth", pool_.pending());
+    w.field("workers", pool_.worker_count());
   }
 
   /// The serve histograms that currently hold samples, in a fixed order.
   std::vector<trace::HistogramSnapshot> histogram_snapshots() const {
     std::vector<trace::HistogramSnapshot> out;
-    const trace::Histogram* all[] = {
-        &request_s_,        &queue_wait_s_,         &stage_pd_graph_s_,
-        &stage_ishape_s_,   &stage_primal_bridge_s_, &stage_dual_bridge_s_,
-        &stage_place_s_,    &stage_route_s_};
-    for (const trace::Histogram* h : all) {
-      trace::HistogramSnapshot s = h->snapshot();
+    const auto keep = [&out](trace::HistogramSnapshot s) {
       if (s.count > 0) out.push_back(std::move(s));
-    }
-    trace::HistogramSnapshot lookup = compiler_.cache_lookup_latency();
-    if (lookup.count > 0) out.push_back(std::move(lookup));
+    };
+    keep(request_s_.snapshot());
+    keep(queue_wait_s_.snapshot());
+    for (const trace::Histogram& h : stage_s_) keep(h.snapshot());
+    keep(compiler_.cache_lookup_latency());
     return out;
   }
 
@@ -725,36 +693,25 @@ class Server {
 
   std::string metrics_line(const std::string& id) {
     const core::StageCache::Stats cache = compiler_.cache_stats();
-    std::string out = "{\"id\": " + quoted(id) +
-                      ", \"ok\": true, \"admin\": \"metrics\", \"serve\": "
-                      "{\"uptime_s\": " +
-                      fmt_double(uptime_s()) + ", \"counters\": {";
-    bool first = true;
-    for (const auto& [name, value] : counter_values()) {
-      if (!first) out += ", ";
-      first = false;
-      out += quoted(name) + ": " + std::to_string(value);
-    }
-    out += "}, \"inflight\": " +
-           std::to_string(stats_.inflight.load(std::memory_order_relaxed)) +
-           ", \"queue_depth\": " + std::to_string(pool_.pending()) +
-           ", \"workers\": " + std::to_string(pool_.worker_count()) +
-           ", \"peak_rss_bytes\": " + std::to_string(trace::peak_rss_bytes()) +
-           ", \"cache\": {\"hits\": " + std::to_string(cache.hits) +
-           ", \"misses\": " + std::to_string(cache.misses) +
-           ", \"insertions\": " + std::to_string(cache.insertions) +
-           ", \"evictions\": " + std::to_string(cache.evictions) +
-           ", \"entries\": " + std::to_string(cache.entries) +
-           ", \"bytes\": " + std::to_string(cache.bytes) +
-           ", \"budget\": " + std::to_string(cache.budget) +
-           "}, \"histograms\": {";
-    first = true;
+    json::Writer w;
+    begin_response(w, id, true).field("admin", "metrics").key("serve");
+    w.begin_object().field("uptime_s", uptime_s()).key("counters");
+    w.begin_object();
+    for (const auto& [name, value] : counter_values()) w.field(name, value);
+    w.end_object();
+    write_load(w);
+    w.field("peak_rss_bytes", trace::peak_rss_bytes()).key("cache");
+    w.begin_object().field("hits", cache.hits).field("misses", cache.misses);
+    w.field("insertions", cache.insertions);
+    w.field("evictions", cache.evictions).field("entries", cache.entries);
+    w.field("bytes", cache.bytes).field("budget", cache.budget).end_object();
+    w.key("histograms").begin_object();
     for (const trace::HistogramSnapshot& h : histogram_snapshots()) {
-      if (!first) out += ", ";
-      first = false;
-      out += quoted(h.name) + ": " + trace::histogram_json(h);
+      w.key(h.name);
+      trace::write_histogram(w, h);
     }
-    return out + "}}}";
+    w.end_object().end_object().end_object();
+    return w.str();
   }
 
   /// "serve.request_s" -> "tqec_serve_request_s" etc.
@@ -798,12 +755,9 @@ class Server {
   // common/trace.h — aggregates are deterministic for any worker count).
   trace::Histogram request_s_{"serve.request_s"};
   trace::Histogram queue_wait_s_{"serve.queue_wait_s"};
-  trace::Histogram stage_pd_graph_s_{"serve.stage.pd_graph_s"};
-  trace::Histogram stage_ishape_s_{"serve.stage.ishape_s"};
-  trace::Histogram stage_primal_bridge_s_{"serve.stage.primal_bridge_s"};
-  trace::Histogram stage_dual_bridge_s_{"serve.stage.dual_bridge_s"};
-  trace::Histogram stage_place_s_{"serve.stage.place_s"};
-  trace::Histogram stage_route_s_{"serve.stage.route_s"};
+  /// serve.stage.<name> for every stage field of core::StageTimings, in
+  /// field-list order (a deque: histograms are neither copied nor moved).
+  std::deque<trace::Histogram> stage_s_;
 };
 
 int run_stdin(Server& server) {
