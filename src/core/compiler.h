@@ -109,7 +109,8 @@ struct CompileOptions {
 /// Scalars of one place+route attempt (CompileOptions::place_restarts).
 /// `from, member` names what compile() copies the field from: a
 /// place::Placement (placement) or route::RoutingResult (routing) member of
-/// the attempt's final level; `loop` fields are set by the attempt loop.
+/// the attempt's kept whitespace level; `loop` fields are set by the
+/// attempt loop.
 /// The times and the moves/sec rate are wall-clock; everything else is
 /// bit-reproducible.
 #define TQEC_ATTEMPT_FIELDS(X)                                               \

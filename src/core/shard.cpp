@@ -676,8 +676,9 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
 
   // Window compiles: slot-indexed writes + a serial stitch below keep the
   // result bit-identical for any worker count (the repo-wide reduction
-  // rule). threads == 1 additionally guarantees only one window's fabric
-  // and B*-tree are ever live at once.
+  // rule). threads == 1 additionally guarantees only one window is ever
+  // live at once: one fabric and B*-tree at jobs == 1, up to two (its
+  // concurrent whitespace levels) at jobs >= 2.
   const int workers = resolve_jobs(shard.threads);
   if (workers > 1) {
     parallel_for_slots(n, workers, [&](std::size_t, std::size_t w) {

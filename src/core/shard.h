@@ -37,7 +37,9 @@
 // Peak memory: in the sequential path (--shard-threads=1) only one
 // window's placement fabric / B*-tree / routing state is live at a time;
 // each window is reduced to its slim geometry + carry cells before the
-// next one starts, so peak RSS is O(largest window), not O(circuit).
+// next one starts, so peak RSS is O(largest window), not O(circuit). With
+// --jobs >= 2 a window compile runs its two whitespace levels
+// concurrently, so up to two routing fabrics of that window are live.
 //
 // Checkpointing: with a --checkpoint-dir, every finished window is written
 // as a self-contained text record keyed by a Digest128 content hash over

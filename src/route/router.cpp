@@ -48,25 +48,29 @@ class Router {
  public:
   Router(const place::NodeSet& nodes, const place::Placement& placement,
          const RouteOptions& opt, const NegotiationMemory* warm,
-         NegotiationMemory* memory_out)
+         NegotiationMemory* memory_out, const CancelToken* stop)
       : nodes_(nodes), placement_(placement), opt_(opt),
         fabric_(nodes, placement, opt.margin),
         threads_(std::max(1, opt.threads)), warm_(warm),
-        memory_out_(memory_out) {}
+        memory_out_(memory_out), stop_(stop) {}
 
   RoutingResult run();
 
  private:
-  /// Remove / install a net's route, keeping usage counters and the
-  /// occupancy index in lockstep. Every rip-up and (re)install in the
+  /// Remove / install a net's route, keeping the usage counters in
+  /// lockstep with the routes. Every rip-up and (re)install in the
   /// negotiation loop and the repair phase goes through this pair.
   void rip_up(const RoutedNet& net) {
-    for (const Vec3& cell : net.cells)
-      fabric_.vacate(fabric_.index(cell), net.component);
+    for (const Vec3& cell : net.cells) fabric_.vacate(fabric_.index(cell));
   }
   void install(const RoutedNet& net) {
-    for (const Vec3& cell : net.cells)
-      fabric_.occupy(fabric_.index(cell), net.component);
+    for (const Vec3& cell : net.cells) fabric_.occupy(fabric_.index(cell));
+  }
+
+  /// Whether the caller's stop token has fired (polled at batch and
+  /// repair-scan boundaries).
+  bool stop_requested() const {
+    return stop_ != nullptr && stop_->cancelled();
   }
 
   /// A component's pin bounding box.
@@ -142,6 +146,7 @@ class Router {
   int batch_epoch_ = 0;
   const NegotiationMemory* warm_;
   NegotiationMemory* memory_out_;
+  const CancelToken* stop_;
   /// Shared build-time free-space labeling plus each component's
   /// reachable-label set.
   ReachMap reach_map_;
@@ -315,6 +320,10 @@ RoutingResult Router::run() {
   std::vector<SearchStats> candidate_stats;
   std::vector<std::uint8_t> candidate_ok;
   std::vector<int> requeued;
+  // Set when a poll saw the stop token (which stays fired): the run
+  // unwinds at that batch boundary with every route installed, skips
+  // repair, and reports legal == false.
+  bool stopped = false;
   for (int iter = 0; iter < opt_.max_iterations; ++iter) {
     result.iterations = iter + 1;
     pending.clear();
@@ -332,6 +341,10 @@ RoutingResult Router::run() {
 
     requeued.clear();
     for (const std::vector<int>& batch : plan.batches) {
+      if (stop_requested()) {
+        stopped = true;
+        break;
+      }
       {
         TQEC_TRACE_SPAN("route.batch");
         for (const int c : batch)
@@ -399,29 +412,45 @@ RoutingResult Router::run() {
     // order — each is its own singleton batch, so no further conflicts.
     for (const int c : requeued) {
       RoutedNet& net = result.nets[static_cast<std::size_t>(c)];
+      if (stop_requested()) {
+        // Reinstall the ripped-up route so the fabric still matches the
+        // routes the stopped result reports.
+        stopped = true;
+        install(net);
+        continue;
+      }
       const bool ok = route_component(c, net, present_factor);
       TQEC_REQUIRE(ok, "router failed to connect a net component");
       install(net);
       ++result.batches;
     }
+    if (stopped) break;
 
     const int reroutes = static_cast<int>(pending.size());
     result.reroutes_per_iter.push_back(reroutes);
     result.reroutes_total += reroutes;
     if (reroutes == components) ++result.full_sweeps;
 
-    // Congestion accounting; overused cells seed the next iteration's
-    // reroute set through the occupancy index.
+    // Congestion accounting: one fabric pass counts the overused cells
+    // and raises their history; every net routed through one of them is
+    // rerouted next iteration (read off the routes).
     std::fill(dirty.begin(), dirty.end(), 0);
     int overused = 0;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
-      const int over = fabric_.usage(i) - fabric_.capacity(i);
-      if (over > 0) {
+      if (fabric_.usage(i) > fabric_.capacity(i)) {
         ++overused;
         fabric_.history(i) += static_cast<float>(opt_.history_increment);
-        for (const int c : fabric_.nets_at(i))
-          dirty[static_cast<std::size_t>(c)] = 1;
       }
+    }
+    if (overused > 0) {
+      for (std::size_t c = 0; c < result.nets.size(); ++c)
+        for (const Vec3& cell : result.nets[c].cells) {
+          const std::size_t i = fabric_.index(cell);
+          if (fabric_.usage(i) > fabric_.capacity(i)) {
+            dirty[c] = 1;
+            break;
+          }
+        }
     }
     result.overused_cells = overused;
     result.overused_per_iter.push_back(overused);
@@ -462,6 +491,7 @@ RoutingResult Router::run() {
   // margin always offers a detour unless the cell was a pin-access cut,
   // in which case the result stays honestly illegal.
   for (int scan = 0; !result.legal && scan < 20; ++scan) {
+    if (stop_requested()) break;
     // Collect every currently overused cell in one fabric pass.
     std::vector<std::size_t> contested;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
@@ -481,10 +511,13 @@ RoutingResult Router::run() {
     for (std::size_t idx : contested) {
       if (fabric_.usage(idx) <= fabric_.capacity(idx))
         continue;  // resolved by an earlier reroute in this scan
-      // The occupancy index names the contestants directly; sorting by
-      // component id reproduces the order a scan over all nets would give.
-      std::vector<int> users = fabric_.nets_at(idx);
-      std::sort(users.begin(), users.end());
+      // Contestants: the nets whose routes hold the cell, collected in
+      // component-id order.
+      const Vec3 cell = fabric_.cell_at(idx);
+      std::vector<int> users;
+      for (int c = 0; c < components; ++c)
+        for (const Vec3& q : result.nets[static_cast<std::size_t>(c)].cells)
+          if (q == cell) users.push_back(c);
       if (users.size() < 2) continue;
       std::sort(users.begin(), users.end(), [&](int a, int b) {
         return nodes_.net_pins[static_cast<std::size_t>(a)].size() >
@@ -535,7 +568,6 @@ RoutingResult Router::run() {
       }
       if (awarded) ++result.repair_awarded;
       else ++result.repair_failed;
-      const Vec3 cell = fabric_.cell_at(idx);
       TQEC_LOG_DEBUG("hard-block repair at " << cell << " among "
                                              << users.size() << " nets"
                                              << (awarded ? "" : " FAILED"));
@@ -546,19 +578,16 @@ RoutingResult Router::run() {
   repair_span.end();
 
   // Invariant: after negotiation and repair (including every repair
-  // rollback), usage counters and the occupancy index must both agree with
-  // the final routes. A leak here would silently corrupt congestion
+  // rollback and a stopped run's unwinding), the usage counters must agree
+  // with the final routes. A leak here would silently corrupt congestion
   // accounting, so the check runs in every build type (one O(cells) pass).
   {
     std::vector<std::uint32_t> recount(fabric_.cell_count(), 0);
     for (const RoutedNet& net : result.nets)
       for (const Vec3& cell : net.cells) ++recount[fabric_.index(cell)];
-    for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
+    for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
       TQEC_ASSERT(recount[i] == static_cast<std::uint32_t>(fabric_.usage(i)),
                   "usage counters desynced from the final routes");
-      TQEC_ASSERT(recount[i] == fabric_.nets_at(i).size(),
-                  "occupancy index desynced from the final routes");
-    }
   }
 
   // Final congestion census: usage histogram, top-K hottest cells, and a
@@ -616,17 +645,6 @@ RoutingResult Router::run() {
     result.window_misses += s.window_misses;
     if (s.lookahead_connects > 0) ++result.lookahead_nets;
   }
-  trace::counter_add("route.queue_pushes", result.queue_pushes);
-  trace::counter_add("route.queue_pops", result.queue_pops);
-  trace::counter_add("route.reroutes", result.reroutes_total);
-  trace::counter_add("route.iterations", result.iterations);
-  trace::counter_add("route.repair_awarded", result.repair_awarded);
-  trace::counter_add("route.repair_failed", result.repair_failed);
-  trace::counter_add("route.batches", result.batches);
-  trace::counter_add("route.conflicts_requeued", result.conflicts_requeued);
-  trace::counter_add("route.lookahead_nets", result.lookahead_nets);
-  trace::counter_add("route.window_hits", result.window_hits);
-  trace::counter_add("route.window_misses", result.window_misses);
   export_memory(result, components);
   result.bounding = placement_.core;
   result.total_wire = 0;
@@ -658,9 +676,24 @@ RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,
                          const RouteOptions& options,
                          const NegotiationMemory* warm,
-                         NegotiationMemory* memory_out) {
-  Router router(nodes, placement, options, warm, memory_out);
+                         NegotiationMemory* memory_out,
+                         const CancelToken* stop) {
+  Router router(nodes, placement, options, warm, memory_out, stop);
   return router.run();
+}
+
+void publish_counters(const RoutingResult& result) {
+  trace::counter_add("route.queue_pushes", result.queue_pushes);
+  trace::counter_add("route.queue_pops", result.queue_pops);
+  trace::counter_add("route.reroutes", result.reroutes_total);
+  trace::counter_add("route.iterations", result.iterations);
+  trace::counter_add("route.repair_awarded", result.repair_awarded);
+  trace::counter_add("route.repair_failed", result.repair_failed);
+  trace::counter_add("route.batches", result.batches);
+  trace::counter_add("route.conflicts_requeued", result.conflicts_requeued);
+  trace::counter_add("route.lookahead_nets", result.lookahead_nets);
+  trace::counter_add("route.window_hits", result.window_hits);
+  trace::counter_add("route.window_misses", result.window_misses);
 }
 
 }  // namespace tqec::route

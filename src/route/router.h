@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/error.h"
 #include "place/nodes.h"
 #include "place/placer.h"
@@ -185,10 +186,24 @@ RoutingResult route_nets(const place::NodeSet& nodes,
 /// per-net windows from it; when `memory_out` is non-null the run's final
 /// negotiation state is exported for the next attempt. Either pointer may
 /// be null (the plain overload passes both as null).
+///
+/// `stop`, when non-null, is polled at every batch boundary and every
+/// repair scan: once it fires, the run returns at the next one with every
+/// route installed, no repair, and legal == false. core::compile stops a
+/// speculative whitespace level this way once the tighter level routed
+/// legally; a stopped result is meant to be discarded.
 RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,
                          const RouteOptions& options,
                          const NegotiationMemory* warm,
-                         NegotiationMemory* memory_out);
+                         NegotiationMemory* memory_out,
+                         const CancelToken* stop = nullptr);
+
+/// Add a routing run's work tallies (queue traffic, reroutes, iterations,
+/// batches, repair outcomes, window hits) to the trace counters.
+/// route_nets leaves this to its caller, which knows whether the run
+/// counts (core::compile publishes exactly the levels a sequential
+/// escalation runs).
+void publish_counters(const RoutingResult& result);
 
 }  // namespace tqec::route

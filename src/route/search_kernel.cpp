@@ -14,7 +14,6 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
   usage_.assign(n, 0);
   capacity_.assign(n, 1);
   history_.assign(n, 0.0f);
-  nets_at_.assign(n, {});
 
   for (const geom::DistillBox& b : placement.boxes) {
     // Clamp the rasterized extent to the fabric: with a small routing

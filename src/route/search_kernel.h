@@ -52,10 +52,10 @@ inline void bump_epoch(int& epoch, std::vector<int>& stamps) {
 }  // namespace detail
 
 /// Shared routing fabric: the lattice-cell grid spanning the placement
-/// core plus a margin, with per-cell obstacle, capacity, usage, history,
-/// and occupancy-index state laid out as parallel SoA arrays (the search
-/// hot loop touches blocked/module/usage/capacity/history; keeping each in
-/// its own dense array maximizes cache-line utility for the 6-neighbour
+/// core plus a margin, with per-cell obstacle, capacity, usage, and
+/// history state laid out as parallel SoA arrays (the search hot loop
+/// touches blocked/module/usage/capacity/history; keeping each in its own
+/// dense array maximizes cache-line utility for the 6-neighbour
 /// scans). Per-search state deliberately lives elsewhere (SearchScratch).
 ///
 /// The per-cell edge mask folds the 6-direction bounds/blocked/module
@@ -117,23 +117,15 @@ class Fabric {
   float& history(std::size_t i) { return history_[i]; }
   float history(std::size_t i) const { return history_[i]; }
 
-  // Cell -> net occupancy index, kept in lockstep with the usage counters:
-  // every cell lists the components currently routed through it. Powers
-  // the incremental reroute schedule (which nets sit on an overused cell)
-  // and the hard-block repair phase (who contests a cell) without scanning
-  // every net's route. Mutation is negotiation-thread-only.
-  void occupy(std::size_t i, int component) {
+  // Occupancy counters. Mutation is negotiation-thread-only; which nets
+  // sit on a cell is read off the routes themselves (RoutingResult::nets),
+  // so the fabric keeps no per-cell net lists.
+  void occupy(std::size_t i) {
     usage_[i] = detail::counter_add(usage_[i], +1);
-    nets_at_[i].push_back(component);
   }
-  void vacate(std::size_t i, int component) {
+  void vacate(std::size_t i) {
     usage_[i] = detail::counter_add(usage_[i], -1);
-    auto& nets = nets_at_[i];
-    const auto it = std::find(nets.begin(), nets.end(), component);
-    TQEC_ASSERT(it != nets.end(), "occupancy index missing a routed net");
-    nets.erase(it);
   }
-  const std::vector<int>& nets_at(std::size_t i) const { return nets_at_[i]; }
 
  private:
   /// Recompute the mask bits that point INTO cell i (one bit in each
@@ -147,7 +139,6 @@ class Fabric {
   std::vector<std::uint16_t> usage_;
   std::vector<std::uint16_t> capacity_;
   std::vector<float> history_;
-  std::vector<std::vector<int>> nets_at_;
   std::vector<std::uint8_t> edge_mask_;
   std::array<std::ptrdiff_t, 6> strides_{};
 };

@@ -5,8 +5,10 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/json.h"
 #include "common/trace.h"
@@ -380,6 +382,56 @@ TEST(CompileTest, TracingDoesNotChangeResults) {
   ASSERT_EQ(on.placement.module_cell.size(), off.placement.module_cell.size());
   for (std::size_t i = 0; i < on.placement.module_cell.size(); ++i)
     EXPECT_EQ(on.placement.module_cell[i], off.placement.module_cell[i]);
+}
+
+// At jobs >= 2 the two whitespace levels of an attempt run concurrently
+// and the one an in-order escalation keeps is kept. Every attempt stat
+// except the wall-clock ones, and every trace counter, must match jobs=1:
+// nothing of a dropped y-gap 1 level (4gt10-v1_81 routes at y-gap 0) or a
+// discarded y-gap 0 level (rd84_142 escalates) may leak into the result.
+TEST(CompileTest, SpeculativeEscalationMatchesInOrderStats) {
+  for (const auto& [name, y_gap] :
+       {std::pair("rd84_142", 1), std::pair("4gt10-v1_81", 0)}) {
+    SCOPED_TRACE(name);
+    const icm::IcmCircuit circuit =
+        icm::make_workload(workload_spec(paper_benchmark(name)));
+    trace::set_enabled(true);
+    CompileOptions opt;
+    opt.seed = 7;
+    const CompileResult seq = compile(circuit, opt);
+    opt.jobs = 2;
+    const CompileResult spec = compile(circuit, opt);
+    trace::set_enabled(false);
+    trace::reset_metrics();
+    trace::reset_events();
+
+    ASSERT_EQ(seq.timings.attempts.size(), 1u);
+    ASSERT_EQ(spec.timings.attempts.size(), 1u);
+    EXPECT_EQ(seq.timings.attempts[0].y_gap, y_gap);
+    visit_attempt_fields(
+        [](const char* field, const auto& a, const auto& b) {
+          const std::string_view n(field);
+          if (!n.ends_with("_s") && !n.ends_with("_per_sec")) {
+            EXPECT_EQ(a, b) << field;
+          }
+        },
+        seq.timings.attempts[0], spec.timings.attempts[0]);
+    EXPECT_EQ(seq.timings.attempts[0].route_overused_per_iter,
+              spec.timings.attempts[0].route_overused_per_iter);
+    EXPECT_EQ(seq.timings.attempts[0].route_reroutes_per_iter,
+              spec.timings.attempts[0].route_reroutes_per_iter);
+    EXPECT_FALSE(seq.metrics.counters.empty());
+    EXPECT_EQ(seq.metrics.counters, spec.metrics.counters);
+    // Moves/sec divides by the kept level's own place time, which after an
+    // escalation is less than the attempt's summed place_s.
+    for (const CompileResult* r : {&seq, &spec}) {
+      const PlaceAttemptStats& a = r->timings.attempts[0];
+      ASSERT_GT(a.place_s, 0);
+      if (y_gap > 0) {
+        EXPECT_GT(a.sa_moves_per_sec, a.sa_iterations / a.place_s);
+      }
+    }
+  }
 }
 
 class EndToEndTest : public ::testing::TestWithParam<std::size_t> {};

@@ -84,19 +84,29 @@ void expect_golden(const core::CompileResult& r, const Golden& want) {
   EXPECT_EQ(got.digest_hi, want.digest_hi);
 }
 
-core::CompileResult compile_paper(const char* name, core::PipelineMode mode) {
+core::CompileResult compile_paper(const char* name, core::PipelineMode mode,
+                                  int jobs = 1) {
   const icm::IcmCircuit circuit = icm::make_workload(
       core::workload_spec(core::paper_benchmark(name)));
   core::CompileOptions opt;
   opt.mode = mode;
   opt.seed = 7;
+  opt.jobs = jobs;
   return core::compile(circuit, opt);
 }
 
+// Rows that the jobs >= 2 cases below must reproduce exactly: there the
+// y-gap levels run concurrently instead of in order.
+constexpr Golden kFull_4gt10_v1_81 = {14256, {18, 22, 36}, 0, 5719, 50, 95045,
+                                      0x7d8084a6336b19acull,
+                                      0xfeaed0adb54e07b5ull};
+constexpr Golden kFull_rd84_142 = {145824, {31, 84, 56}, 1, 346423, 382,
+                                   620901, 0xb0919af10560c495ull,
+                                   0xb98805185c35b0a0ull};
+
 TEST(GoldenTest, Full_4gt10_v1_81) {
   expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::Full),
-                {14256, {18, 22, 36}, 0, 5719, 50, 95045,
-                 0x7d8084a6336b19acull, 0xfeaed0adb54e07b5ull});
+                kFull_4gt10_v1_81);
 }
 
 TEST(GoldenTest, Full_4gt4_v0_73) {
@@ -107,8 +117,27 @@ TEST(GoldenTest, Full_4gt4_v0_73) {
 
 TEST(GoldenTest, Full_rd84_142_EscalatesToYGap1) {
   expect_golden(compile_paper("rd84_142", core::PipelineMode::Full),
-                {145824, {31, 84, 56}, 1, 346423, 382, 620901,
-                 0xb0919af10560c495ull, 0xb98805185c35b0a0ull});
+                kFull_rd84_142);
+}
+
+// Speculative escalation: y-gap 0 is legal, so the concurrent y-gap 1
+// level is stopped (or, had it finished first, dropped).
+TEST(GoldenTest, Full_4gt10_v1_81_Jobs2And4MatchJobs1) {
+  for (const int jobs : {2, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::Full, jobs),
+                  kFull_4gt10_v1_81);
+  }
+}
+
+// Speculative escalation: y-gap 0 is illegal, so the concurrent y-gap 1
+// level is kept.
+TEST(GoldenTest, Full_rd84_142_Jobs2And4MatchJobs1) {
+  for (const int jobs : {2, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    expect_golden(compile_paper("rd84_142", core::PipelineMode::Full, jobs),
+                  kFull_rd84_142);
+  }
 }
 
 TEST(GoldenTest, DualOnly_4gt10_v1_81) {

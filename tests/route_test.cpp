@@ -3,8 +3,11 @@
 // congestion negotiation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -177,6 +180,54 @@ TEST(RouterTest, RerouteScheduleObservability) {
   EXPECT_GE(flow.routing.queue_pushes, flow.routing.queue_pops);
 }
 
+// A fired stop token ends routing at the next batch boundary. Fired up
+// front, no batch runs and the result reports legal == false. route_nets
+// checks its usage counters against the returned routes on every exit and
+// throws on a mismatch, so no throw shows the fabric stayed consistent.
+TEST(RouterTest, FiredStopTokenReturnsBeforeTheFirstBatch) {
+  const Flow flow = run_flow(midsize_workload());
+  ASSERT_TRUE(flow.routing.legal);
+  CancelToken stop;
+  stop.cancel();
+  RouteOptions opt;
+  opt.seed = 7;
+  opt.threads = 2;
+  RoutingResult r;
+  EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, nullptr,
+                                 nullptr, &stop));
+  EXPECT_FALSE(r.legal);
+  EXPECT_LE(r.batches, 1);
+  EXPECT_LE(r.reroutes_per_iter.size(), 1u);
+  EXPECT_EQ(r.repair_awarded + r.repair_failed, 0);
+  EXPECT_EQ(r.nets.size(), flow.nodes.net_pins.size());
+}
+
+// A stop that fires mid-run — possibly between a batch and the serial
+// reroute of its conflicted nets — must still leave usage and routes in
+// agreement (route_nets would throw otherwise). The run either finished
+// first, with the unstopped result, or reports legal == false.
+TEST(RouterTest, StopAtAnyMomentKeepsFabricConsistent) {
+  const Flow flow = run_flow(midsize_workload());
+  ASSERT_TRUE(flow.routing.legal);
+  for (const int delay_us : {0, 200, 1000, 5000}) {
+    SCOPED_TRACE("delay_us=" + std::to_string(delay_us));
+    CancelToken stop;
+    std::thread stopper([&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      stop.cancel();
+    });
+    RouteOptions opt;
+    opt.seed = 7;
+    RoutingResult r;
+    EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, nullptr,
+                                   nullptr, &stop));
+    stopper.join();
+    if (r.legal) {
+      EXPECT_EQ(r.total_wire, flow.routing.total_wire);
+    }
+  }
+}
+
 TEST(RouterTest, BoundingVolumeCoversPlacementCore) {
   const Flow flow = run_flow(midsize_workload());
   EXPECT_GE(flow.routing.volume, flow.placement.core.volume());
@@ -245,7 +296,7 @@ std::set<std::tuple<int, int, int>> cell_set(const RoutedNet& net) {
 // the repair must roll back the hard block and every touched route, leaving
 // the design honestly illegal with the pre-repair routes intact. A leaked
 // block or a half-restored route corrupts usage accounting — route_nets()
-// itself asserts counter/index consistency against the final routes, so a
+// itself asserts usage-counter consistency against the final routes, so a
 // leak would throw rather than pass.
 TEST(RepairTest, NoAwardPathLeavesRoutesIntact) {
   const GridFixture f = cross_fixture();
