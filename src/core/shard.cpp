@@ -68,7 +68,8 @@ std::string options_fingerprint(const CompileOptions& o,
   const place::PlaceOptions& p = o.place;
   os << "|p.layers=" << p.layers << "|p.alpha=" << p.alpha_volume
      << "|p.beta=" << p.beta_wire
-     << "|p.wire=" << static_cast<int>(p.wire_model)
+     // Retired wire-model field (always HPWL); kept so old names resume.
+     << "|p.wire=0"
      << "|p.iters=" << p.iterations << "|p.effort=" << p.effort
      << "|p.t0=" << p.t0_fraction << "|p.cool=" << p.cooling
      << "|p.batch=" << p.batch << "|p.ygap=" << p.layer_y_gap

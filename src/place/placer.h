@@ -17,10 +17,12 @@
 //
 // The inner loop is incremental end to end: every perturbation repacks
 // only the dirty suffix of its layer's B*-tree (BStarTree::pack_update)
-// and re-evaluates only the nets of nodes whose cells actually moved. All
-// wirelength bookkeeping is exact integer arithmetic, so the tracked cost
-// never drifts from a full recompute (checked builds assert this at every
-// temperature-batch boundary).
+// and re-evaluates only the nets of nodes whose cells actually moved. A
+// net's HPWL is scored over one bounding-box term per host node, not per
+// pin, and a rejected move restores the wirelength caches from a journal
+// instead of re-evaluating. All wirelength bookkeeping is exact integer
+// arithmetic, so the tracked cost never drifts from a full recompute
+// (checked builds assert this at every temperature-batch boundary).
 //
 // Optional parallel tempering: `replicas` > 1 anneals R temperature-
 // staggered chains and swaps their configurations at temperature-batch
@@ -42,19 +44,12 @@
 
 namespace tqec::place {
 
-/// Net-wirelength model used inside the SA cost (see geom/steiner.h).
-enum class WireModel : std::uint8_t {
-  Hpwl,  // bounding-box half-perimeter (fastest, default)
-  Mst,   // rectilinear MST for nets up to 8 pins, HPWL beyond
-};
-
 struct PlaceOptions {
   std::uint64_t seed = 1;
   /// Number of 2.5D layers; 0 = automatic (cube-balanced).
   int layers = 0;
   double alpha_volume = 1.0;
   double beta_wire = 0.5;
-  WireModel wire_model = WireModel::Hpwl;
   /// SA iteration budget per replica; 0 = automatic from the node count.
   /// The budget scales multiplicatively with `effort`.
   int iterations = 0;
