@@ -66,18 +66,20 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|dual=" << o.enable_dual << "|prestarts=" << o.primal_restarts
      << "|attempts=" << o.place_restarts;
   const place::PlaceOptions& p = o.place;
-  os << "|p.layers=" << p.layers << "|p.alpha=" << p.alpha_volume
-     << "|p.beta=" << p.beta_wire
-     // Retired wire-model field (always HPWL); kept so old names resume.
-     << "|p.wire=0"
-     << "|p.iters=" << p.iterations << "|p.effort=" << p.effort
-     << "|p.t0=" << p.t0_fraction << "|p.cool=" << p.cooling
+  // Removed fields print the values they always had (automatic layers and
+  // iterations, volume weight 1, HPWL wire model) and fields that became
+  // constants print those, so existing checkpoint names still resume.
+  os << "|p.layers=0|p.alpha=1|p.beta=" << place::kBetaWire
+     << "|p.wire=0|p.iters=0|p.effort=" << p.effort
+     << "|p.t0=" << place::kT0Fraction << "|p.cool=" << place::kCooling
      << "|p.batch=" << p.batch << "|p.ygap=" << p.layer_y_gap
-     << "|p.replicas=" << p.replicas << "|p.stagger=" << p.replica_stagger;
+     << "|p.replicas=" << p.replicas
+     << "|p.stagger=" << place::kReplicaStagger;
   const route::RouteOptions& r = o.route;
   os << "|r.margin=" << r.margin << "|r.maxit=" << r.max_iterations
-     << "|r.hist=" << r.history_increment << "|r.pbase=" << r.present_base
-     << "|r.pgrow=" << r.present_growth << "|r.pmax=" << r.present_max
+     << "|r.hist=" << route::kHistoryIncrement
+     << "|r.pbase=" << route::kPresentBase
+     << "|r.pgrow=" << r.present_growth << "|r.pmax=" << route::kPresentMax
      << "|r.region=" << r.region_margin << "|r.warm=" << r.warm_start;
   os << "|shard.window=" << shard.window << "|shard.gap=" << shard.seam_gap;
   return os.str();

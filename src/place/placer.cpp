@@ -107,13 +107,15 @@ class Chain {
   /// move-for-move at replicas == 1.
   void run_batch(int count) {
     run_steps(count);
+    steps_since_sample_ += count;
     if (!last_step_applied_) return;
     const double batch_temperature = temperature_;
-    temperature_ *= opt_.cooling;
+    temperature_ *= kCooling;
     // All wirelength bookkeeping is exact integer arithmetic, so the
     // incremental and journal-restored caches cannot drift from a full
     // recompute; checked builds verify that at every temperature step
-    // instead of resyncing.
+    // instead of resyncing, and that the sample's acceptance rate is a
+    // fraction.
 #ifndef NDEBUG
     {
       const std::vector<std::int64_t> tracked = wl_of_net_;
@@ -122,11 +124,15 @@ class Chain {
       TQEC_ASSERT(wl_of_net_ == tracked && total_wire_ == tracked_total,
                   "incremental wirelength diverged from full recompute");
     }
+    TQEC_ASSERT(accepted_ - accepted_at_sample_ <= steps_since_sample_,
+                "more accepted moves than iterations since the last sample");
 #endif
     sa_curve_.push_back(
         {cost_, batch_temperature,
-         static_cast<double>(accepted_ - accepted_at_batch_start_) / count});
-    accepted_at_batch_start_ = accepted_;
+         static_cast<double>(accepted_ - accepted_at_sample_) /
+             steps_since_sample_});
+    accepted_at_sample_ = accepted_;
+    steps_since_sample_ = 0;
   }
 
   /// Exchange configurations with another chain (replica exchange): the
@@ -375,8 +381,8 @@ class Chain {
 
     if (volume_out != nullptr) *volume_out = volume;
     if (wire_out != nullptr) *wire_out = total_wire_;
-    return opt_.alpha_volume * static_cast<double>(volume) +
-           opt_.beta_wire * static_cast<double>(total_wire_) + order_penalty;
+    return static_cast<double>(volume) +
+           kBetaWire * static_cast<double>(total_wire_) + order_penalty;
   }
 
   /// Undo the last evaluate(): the rejected move has already restored the
@@ -595,7 +601,9 @@ class Chain {
   std::int64_t volume_ = 0;
   std::int64_t wire_ = 0;
   std::int64_t initial_volume_ = 0;
-  int accepted_at_batch_start_ = 0;
+  // accepted_ at the last convergence sample, and iterations run since.
+  int accepted_at_sample_ = 0;
+  int steps_since_sample_ = 0;
   bool last_step_applied_ = true;
 
   std::tuple<std::vector<BStarTree>, std::vector<int>, std::vector<bool>>
@@ -625,16 +633,14 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options,
   const int node_count = nodes.node_count();
   TQEC_REQUIRE(node_count > 0, "nothing to place");
 
-  int layer_count = options.layers;
-  if (layer_count <= 0) {
-    std::int64_t area = 0;
-    for (const PlacementNode& n : nodes.nodes)
-      area += std::int64_t{n.dims.x} * n.dims.z;
-    layer_count = static_cast<int>(std::llround(std::cbrt(
-        static_cast<double>(area))));
-    layer_count = std::clamp(layer_count, 1, std::max(1, node_count));
-    layer_count = std::min(layer_count, 48);
-  }
+  // Cube-balanced layer count.
+  std::int64_t area = 0;
+  for (const PlacementNode& n : nodes.nodes)
+    area += std::int64_t{n.dims.x} * n.dims.z;
+  int layer_count = static_cast<int>(std::llround(std::cbrt(
+      static_cast<double>(area))));
+  layer_count = std::clamp(layer_count, 1, std::max(1, node_count));
+  layer_count = std::min(layer_count, 48);
 
   const WireIndex wires = build_wire_index(nodes);
 
@@ -642,9 +648,9 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options,
   // super-module reduction then shows up as more exploration per node —
   // the paper's argument for why primal bridging makes the SA converge
   // better on large designs (Sec. 4).
-  int iterations = options.iterations;
-  if (iterations <= 0) iterations = std::clamp(node_count * 400, 2000, 60000);
-  iterations = std::max(1, static_cast<int>(iterations * options.effort));
+  const int iterations = std::max(
+      1, static_cast<int>(std::clamp(node_count * 400, 2000, 60000) *
+                          options.effort));
   const int batch =
       options.batch > 0 ? options.batch : std::max(64, node_count / 2);
 
@@ -660,13 +666,13 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options,
   chains[0].init(layer_count);
   for (int r = 1; r < replica_count; ++r) chains.push_back(chains[0]);
 
-  const double t0 = std::max(1.0, options.t0_fraction * chains[0].cost_);
+  const double t0 = std::max(1.0, kT0Fraction * chains[0].cost_);
   std::uint64_t lane_seed_state = options.seed ^ 0x706c616365726570ull;
   for (int r = 0; r < replica_count; ++r) {
     chains[static_cast<std::size_t>(r)].rng_ =
         r == 0 ? Rng(options.seed) : Rng(splitmix64(lane_seed_state));
     chains[static_cast<std::size_t>(r)].temperature_ =
-        t0 * std::pow(options.replica_stagger, r);
+        t0 * std::pow(kReplicaStagger, r);
   }
   std::uint64_t exchange_seed_state = options.seed ^ 0x74656d70657278ull;
   Rng exchange_rng(splitmix64(exchange_seed_state));

@@ -4,7 +4,7 @@
 // super-modules) are packed into a stack of 2.5D layers, each layer a
 // B*-tree floorplan in the (x, z) plane; a layer's height along y is the
 // tallest node it holds. The SA engine minimizes
-//     cost = alpha * volume + beta * total-wirelength
+//     cost = volume + kBetaWire * total-wirelength
 // where volume is the bounding box (max layer width x max layer depth x
 // summed layer heights) and wirelength is the 3D HPWL of the merged dual
 // nets over their module pins. Moves: rotate a node footprint, swap two
@@ -44,19 +44,23 @@
 
 namespace tqec::place {
 
+// Fixed annealing schedule and cost weight. The shard checkpoint
+// fingerprint hashes them, so changing one orphans existing checkpoints.
+
+/// Weight of the wirelength against the volume (weight 1) in the cost.
+inline constexpr double kBetaWire = 0.5;
+/// Initial acceptance temperature as a fraction of the initial cost.
+inline constexpr double kT0Fraction = 0.05;
+/// Temperature multiplier per cooling step.
+inline constexpr double kCooling = 0.97;
+/// Temperature ratio between adjacent chains of the tempering ladder.
+inline constexpr double kReplicaStagger = 1.6;
+
 struct PlaceOptions {
   std::uint64_t seed = 1;
-  /// Number of 2.5D layers; 0 = automatic (cube-balanced).
-  int layers = 0;
-  double alpha_volume = 1.0;
-  double beta_wire = 0.5;
-  /// SA iteration budget per replica; 0 = automatic from the node count.
-  /// The budget scales multiplicatively with `effort`.
-  int iterations = 0;
+  /// Scales the SA iteration budget per replica, which is derived from the
+  /// node count (as is the cube-balanced number of 2.5D layers).
   double effort = 1.0;
-  /// Initial acceptance temperature as a fraction of the initial cost.
-  double t0_fraction = 0.05;
-  double cooling = 0.97;
   /// Iterations per temperature step; 0 = automatic.
   int batch = 0;
   /// Free routing plane inserted above every layer (congestion-driven
@@ -67,21 +71,20 @@ struct PlaceOptions {
   /// replica exchange. The *result* depends only on this, never on
   /// `threads`.
   int replicas = 1;
-  /// Temperature ratio between adjacent chains of the tempering ladder.
-  double replica_stagger = 1.6;
   /// Worker threads for running replicas concurrently; 0 = let the caller
   /// decide (the compiler splits --jobs across attempts; plain
   /// place_modules treats 0 as 1). Bit-identical results for any value.
   int threads = 0;
 };
 
-/// One SA convergence sample, taken at every temperature-batch boundary
-/// (after the batch's debug cost cross-check, before cooling).
+/// One SA convergence sample, taken at every cooling step (a batch
+/// boundary that defers its cooling step defers its sample too).
 struct SaSample {
   double cost = 0;
   double temperature = 0;
-  /// Accepted fraction of the batch's iterations (move-less iterations
-  /// count toward the denominator, mirroring iterations_run).
+  /// Accepted fraction of the iterations since the previous sample
+  /// (move-less iterations count toward the denominator, mirroring
+  /// iterations_run), so always within [0, 1].
   double accept_rate = 0;
 };
 

@@ -308,7 +308,7 @@ RoutingResult Router::run() {
     base_regions[static_cast<std::size_t>(c)] = declared_region(c);
   std::vector<Box3> regions = base_regions;
 
-  double present_factor = opt_.present_base;
+  double present_factor = kPresentBase;
   int stall = 0;
   int prev_overused = -1;
   int sweeps_left = kStallSweeps;
@@ -439,7 +439,7 @@ RoutingResult Router::run() {
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
       if (fabric_.usage(i) > fabric_.capacity(i)) {
         ++overused;
-        fabric_.history(i) += static_cast<float>(opt_.history_increment);
+        fabric_.history(i) += static_cast<float>(kHistoryIncrement);
       }
     }
     if (overused > 0) {
@@ -459,7 +459,7 @@ RoutingResult Router::run() {
       break;
     }
     present_factor =
-        std::min(present_factor * opt_.present_growth, opt_.present_max);
+        std::min(present_factor * opt_.present_growth, kPresentMax);
     // Negotiation stalled on persistently contested cells: stop and
     // resolve them explicitly below.
     stall = overused >= prev_overused && prev_overused >= 0 ? stall + 1 : 0;

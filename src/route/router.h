@@ -47,20 +47,26 @@ inline std::uint16_t counter_add(std::uint16_t value, int delta) {
 
 }  // namespace detail
 
+// Fixed PathFinder costs. The shard checkpoint fingerprint hashes them,
+// so changing one orphans existing checkpoints.
+
+/// History cost added to each overused cell per iteration.
+inline constexpr double kHistoryIncrement = 1.0;
+/// Present-congestion multiplier at the first iteration, and its clamp
+/// (unbounded growth reaches inf, making every congested cell's cost
+/// equal and stalling negotiation).
+inline constexpr double kPresentBase = 2.0;
+inline constexpr double kPresentMax = 1e9;
+
 struct RouteOptions {
   std::uint64_t seed = 1;
   /// Free cells added around the placement core on every side.
   int margin = 4;
   /// Maximum PathFinder iterations before giving up.
   int max_iterations = 40;
-  /// History cost added to each overused cell per iteration.
-  double history_increment = 1.0;
-  /// Present-congestion multiplier; grows by `present_growth` per iteration,
-  /// clamped at `present_max` (unbounded growth reaches inf, making every
-  /// congested cell's cost equal and stalling negotiation).
-  double present_base = 2.0;
+  /// Growth of the present-congestion multiplier per iteration, from
+  /// kPresentBase up to kPresentMax.
   double present_growth = 1.6;
-  double present_max = 1e9;
   /// Initial half-width of the restricted search region around a
   /// connection's bounding box; grows when a connection fails.
   int region_margin = 6;
@@ -123,7 +129,7 @@ struct RoutingResult {
   int repair_awarded = 0;
   int repair_failed = 0;
   /// Present-congestion factor after the last negotiation iteration
-  /// (clamped at RouteOptions::present_max, hence always finite).
+  /// (clamped at kPresentMax, hence always finite).
   double present_factor_final = 0;
 
   // Batched-negotiation observability (see net_batcher.h). All three are

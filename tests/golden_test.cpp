@@ -146,6 +146,12 @@ TEST(GoldenTest, DualOnly_4gt10_v1_81) {
                  0x58653e5cbf1b7afdull, 0xb7b9ddeab4a67a0eull});
 }
 
+TEST(GoldenTest, DualOnly_hwb5_53) {
+  expect_golden(compile_paper("hwb5_53", core::PipelineMode::DualOnly),
+                {519480, {30, 111, 156}, 0, 10023017, 155, 4254876,
+                 0x3ec6be1169946212ull, 0x968198a089bb29f7ull});
+}
+
 TEST(GoldenTest, Sharded_long_8x16_t1_c2_Window4) {
   icm::LayeredWorkloadSpec spec;
   spec.name = "long_8x16_t1_c2";

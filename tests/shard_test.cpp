@@ -392,6 +392,45 @@ TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {
   EXPECT_EQ(other.shard.windows_resumed, 0);
 }
 
+// The record names carry each window's digest, which hashes the options
+// fingerprint: a change to that text orphans every existing checkpoint.
+TEST_F(CheckpointTest, FileNamesArePinned) {
+  icm::LayeredWorkloadSpec spec;
+  spec.name = "long_8x16_t1_c2";
+  spec.data_lines = 8;
+  spec.layers = 16;
+  spec.t_per_layer = 1;
+  spec.cnots_per_layer = 2;
+  spec.seed = 7;
+  core::ShardOptions shard;
+  shard.window = 4;
+  shard.checkpoint_dir = dir_.string();
+  const core::CompileResult r = core::compile_sharded(
+      icm::make_layered_workload(spec), fast_options(), shard);
+  ASSERT_TRUE(r.routed_legal);
+  std::vector<std::string> names;
+  for (const fs::path& f : checkpoint_files())
+    names.push_back(f.filename().string());
+  const std::vector<std::string> want = {
+      "win0_ec2eb511b8335e08b292cae62a3d7fc5.tqecck",
+      "win10_d94972c5a7b6eced44fdb8175f797d10.tqecck",
+      "win11_765f5dc8b3f54f5056b516e47e5afae9.tqecck",
+      "win12_f384f53618e8d5d1b9891634e909bd30.tqecck",
+      "win13_9aaae28e598d211e278a71d2bf0b1e39.tqecck",
+      "win14_eee1a4d34961c73b6ce5a9490d47d538.tqecck",
+      "win1_f42d1fafe093b4856648c40b0306999a.tqecck",
+      "win2_1305bee313c317ce1ca8a6f4fbdbfbe1.tqecck",
+      "win3_651fd527b0606c5030424e6c0a548599.tqecck",
+      "win4_de9e4160a14ac0797289677d76a0a7aa.tqecck",
+      "win5_139fbe839166ca309fe94117ff966591.tqecck",
+      "win6_6a53208b6508f46eb7b8dbb04a84bef3.tqecck",
+      "win7_49d37b44c6c0e1413d7eae06fa35fb4c.tqecck",
+      "win8_5ef540f34edeac894356e38f58c7b4fe.tqecck",
+      "win9_0ba4430d9fc7939e5c13e3a363d280f1.tqecck",
+  };
+  EXPECT_EQ(names, want);
+}
+
 // ---------------------------------------------------------------------------
 // Layered workload family
 
