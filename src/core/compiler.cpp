@@ -605,6 +605,7 @@ void write_stats_json(json::Writer& w, const CompileResult& result) {
   w.field("overused_cells", routing.overused_cells);
   w.field("total_wire", routing.total_wire);
   w.field("present_factor_final", routing.present_factor_final);
+  w.field("connects", routing.connects);
   w.field("batches", routing.batches);
   w.field("conflicts_requeued", routing.conflicts_requeued);
   w.field("parallel_efficiency", routing.parallel_efficiency);

@@ -67,6 +67,16 @@ class Router {
     for (const Vec3& cell : net.cells) fabric_.occupy(fabric_.index(cell));
   }
 
+  /// Debug builds recompute the whole cost plane at every batch boundary
+  /// and before repair: a fabric mutation that skipped its refresh would
+  /// silently price searches off stale costs.
+  void check_cost_plane() const {
+#ifndef NDEBUG
+    TQEC_ASSERT(fabric_.cost_plane_consistent(),
+                "cost plane out of date with usage/capacity/history");
+#endif
+  }
+
   /// Whether the caller's stop token has fired (polled at batch and
   /// repair-scan boundaries).
   bool stop_requested() const {
@@ -116,12 +126,11 @@ class Router {
     return ctx;
   }
 
-  bool route_component(int component, RoutedNet& out, double present_factor) {
+  bool route_component(int component, RoutedNet& out) {
     const NetContext ctx = context_of(component, out);
     SearchStats stats;
-    const bool ok =
-        route_one_net(fabric_, scratch_[0], nodes_, placement_, opt_,
-                      component, present_factor, ctx, out, stats);
+    const bool ok = route_one_net(fabric_, scratch_[0], nodes_, placement_,
+                                  opt_, component, ctx, out, stats);
     net_stats_[static_cast<std::size_t>(component)] += stats;
     return ok;
   }
@@ -190,10 +199,11 @@ void Router::import_memory(RoutingResult& result, int components) {
                old_dims.x +
            rel.x;
   };
+  // History is still zero here, so adding the decayed value sets it.
   for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
     const Vec3 p = fabric_.cell_at(i);
     if (!old_box.contains(p)) continue;
-    fabric_.history(i) = 0.5f * warm_->history[old_index(p)];
+    fabric_.add_history(i, 0.5f * warm_->history[old_index(p)]);
   }
 
   warm_window_.assign(static_cast<std::size_t>(components), Box3{});
@@ -270,7 +280,7 @@ RoutingResult Router::run() {
         const Vec3 q = cell + step;
         if (!fabric_.inside(q)) continue;
         const std::size_t qi = fabric_.index(q);
-        if (fabric_.blocked(qi) || fabric_.module_at(qi) >= 0) continue;
+        if (fabric_.blocked(qi) || fabric_.is_module(qi)) continue;
         fabric_.add_capacity(qi, pin_count[m] - 1);
       }
     }
@@ -349,6 +359,7 @@ RoutingResult Router::run() {
         TQEC_TRACE_SPAN("route.batch");
         for (const int c : batch)
           rip_up(result.nets[static_cast<std::size_t>(c)]);
+        check_cost_plane();
         candidates.resize(batch.size());
         candidate_stats.assign(batch.size(), SearchStats{});
         candidate_ok.assign(batch.size(), 0);
@@ -361,8 +372,8 @@ RoutingResult Router::run() {
               batch[i], result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
               route_one_net(fabric_, scratch_[slot], nodes_, placement_,
-                            opt_, batch[i], present_factor, ctx,
-                            candidates[i], candidate_stats[i])
+                            opt_, batch[i], ctx, candidates[i],
+                            candidate_stats[i])
                   ? 1
                   : 0;
         };
@@ -419,7 +430,7 @@ RoutingResult Router::run() {
         install(net);
         continue;
       }
-      const bool ok = route_component(c, net, present_factor);
+      const bool ok = route_component(c, net);
       TQEC_REQUIRE(ok, "router failed to connect a net component");
       install(net);
       ++result.batches;
@@ -431,17 +442,16 @@ RoutingResult Router::run() {
     result.reroutes_total += reroutes;
     if (reroutes == components) ++result.full_sweeps;
 
-    // Congestion accounting: one fabric pass counts the overused cells
-    // and raises their history; every net routed through one of them is
-    // rerouted next iteration (read off the routes).
+    // Congestion accounting: one fabric pass counts the overused cells,
+    // raises their history, and refreshes the cost plane at the next
+    // iteration's present factor (a legal run never searches again, so
+    // the grown factor is then moot); every net routed through an
+    // overused cell is rerouted next iteration (read off the routes).
     std::fill(dirty.begin(), dirty.end(), 0);
-    int overused = 0;
-    for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
-      if (fabric_.usage(i) > fabric_.capacity(i)) {
-        ++overused;
-        fabric_.history(i) += static_cast<float>(kHistoryIncrement);
-      }
-    }
+    const double next_present =
+        std::min(present_factor * opt_.present_growth, kPresentMax);
+    const int overused = fabric_.set_present_factor(
+        next_present, static_cast<float>(kHistoryIncrement));
     if (overused > 0) {
       for (std::size_t c = 0; c < result.nets.size(); ++c)
         for (const Vec3& cell : result.nets[c].cells) {
@@ -458,8 +468,7 @@ RoutingResult Router::run() {
       result.legal = true;
       break;
     }
-    present_factor =
-        std::min(present_factor * opt_.present_growth, kPresentMax);
+    present_factor = next_present;
     // Negotiation stalled on persistently contested cells: stop and
     // resolve them explicitly below.
     stall = overused >= prev_overused && prev_overused >= 0 ? stall + 1 : 0;
@@ -484,6 +493,7 @@ RoutingResult Router::run() {
                          : 0.0;
   negotiation_span.end();
   trace::Span repair_span("route.repair");
+  check_cost_plane();
 
   // Hard-block repair: when negotiation leaves a handful of contested
   // cells, award each to the net with the most pins (hardest to detour)
@@ -542,7 +552,7 @@ RoutingResult Router::run() {
           if (u == winner) continue;
           RoutedNet& net = result.nets[static_cast<std::size_t>(users[u])];
           rip_up(net);
-          const bool ok = route_component(users[u], net, present_factor);
+          const bool ok = route_component(users[u], net);
           install(net);
           rerouted.push_back(u);
           if (!ok) {
@@ -641,6 +651,7 @@ RoutingResult Router::run() {
   for (const SearchStats& s : net_stats_) {
     result.queue_pushes += s.queue_pushes;
     result.queue_pops += s.queue_pops;
+    result.connects += s.connects;
     result.window_hits += s.window_hits;
     result.window_misses += s.window_misses;
     if (s.lookahead_connects > 0) ++result.lookahead_nets;
@@ -685,6 +696,7 @@ RoutingResult route_nets(const place::NodeSet& nodes,
 void publish_counters(const RoutingResult& result) {
   trace::counter_add("route.queue_pushes", result.queue_pushes);
   trace::counter_add("route.queue_pops", result.queue_pops);
+  trace::counter_add("route.connects", result.connects);
   trace::counter_add("route.reroutes", result.reroutes_total);
   trace::counter_add("route.iterations", result.iterations);
   trace::counter_add("route.repair_awarded", result.repair_awarded);

@@ -124,6 +124,9 @@ struct RoutingResult {
   /// A*-queue traffic summed over all searches (negotiation + repair).
   std::int64_t queue_pushes = 0;
   std::int64_t queue_pops = 0;
+  /// Restricted A* searches (connect calls) behind those pops; pops per
+  /// connect is queue_pops / connects.
+  std::int64_t connects = 0;
   /// Hard-block repair outcomes: contested cells awarded to one net vs.
   /// cells where every candidate winner failed (left honestly overused).
   int repair_awarded = 0;
@@ -205,8 +208,9 @@ RoutingResult route_nets(const place::NodeSet& nodes,
                          NegotiationMemory* memory_out,
                          const CancelToken* stop = nullptr);
 
-/// Add a routing run's work tallies (queue traffic, reroutes, iterations,
-/// batches, repair outcomes, window hits) to the trace counters.
+/// Add a routing run's work tallies (queue traffic, connects, reroutes,
+/// iterations, batches, repair outcomes, window hits) to the trace
+/// counters.
 /// route_nets leaves this to its caller, which knows whether the run
 /// counts (core::compile publishes exactly the levels a sequential
 /// escalation runs).

@@ -1,6 +1,7 @@
 #include "route/search_kernel.h"
 
-#include <cmath>
+#include <bit>
+#include <limits>
 
 namespace tqec::route {
 
@@ -8,9 +9,10 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
                int margin)
     : box_(placement.core.inflated(margin)) {
   dims_ = box_.dims();
+  TQEC_REQUIRE(cell_count() <= std::numeric_limits<std::uint32_t>::max(),
+               "routing fabric exceeds 2^32 - 1 cells");
   const std::size_t n = cell_count();
-  blocked_.assign(n, 0);
-  module_at_.assign(n, -1);
+  edge_mask_.assign(n, 0);
   usage_.assign(n, 0);
   capacity_.assign(n, 1);
   history_.assign(n, 0.0f);
@@ -27,10 +29,12 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
     for (int x = lo.x; x <= hi.x; ++x)
       for (int y = lo.y; y <= hi.y; ++y)
         for (int z = lo.z; z <= hi.z; ++z)
-          blocked_[index({x, y, z})] = 1;
+          edge_mask_[index({x, y, z})] = kBlockedBit;
   }
-  for (std::size_t m = 0; m < placement.module_cell.size(); ++m)
-    module_at_[index(placement.module_cell[m])] = static_cast<int>(m);
+  for (const Vec3& cell : placement.module_cell) {
+    std::uint8_t& m = edge_mask_[index(cell)];
+    m = static_cast<std::uint8_t>(m | kModuleBit);
+  }
 
   // Pin capacity: a module loop accommodates one crossing per component
   // pinned to it (the loop is spatially extended in the paper's geometry;
@@ -42,7 +46,7 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
       cap = detail::counter_add(cap, +1);
     }
   for (std::size_t i = 0; i < n; ++i)
-    if (module_at_[i] >= 0)  // base 1 was counted on top
+    if (is_module(i))  // base 1 was counted on top
       capacity_[i] = detail::counter_add(capacity_[i], -1);
 
   // Index deltas of kNeighbours under the (y, z, x) row-major layout.
@@ -51,24 +55,46 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
   const std::ptrdiff_t dy = static_cast<std::ptrdiff_t>(dims_.z) * dims_.x;
   strides_ = {dx, -dx, dy, -dy, dz, -dz};
 
-  edge_mask_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 p = cell_at(i);
-    std::uint8_t mask = 0;
+    std::uint8_t mask = edge_mask_[i];
     for (int d = 0; d < 6; ++d) {
       const Vec3 q = p + kNeighbours[static_cast<std::size_t>(d)];
       if (!inside(q)) continue;
-      const std::size_t qi = index(q);
-      if (blocked_[qi] == 0 && module_at_[qi] < 0)
+      if ((edge_mask_[index(q)] & (kBlockedBit | kModuleBit)) == 0)
         mask = static_cast<std::uint8_t>(mask | (1u << d));
     }
     edge_mask_[i] = mask;
   }
+
+  cost_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) refresh_cost(i);
+}
+
+int Fabric::set_present_factor(double present, float overuse_history) {
+  present_factor_ = present;
+  int overused = 0;
+  for (std::size_t i = 0; i < cell_count(); ++i) {
+    if (usage_[i] > capacity_[i]) {
+      ++overused;
+      history_[i] += overuse_history;
+    }
+    refresh_cost(i);
+  }
+  return overused;
+}
+
+bool Fabric::cost_plane_consistent() const {
+  for (std::size_t i = 0; i < cell_count(); ++i)
+    if (std::bit_cast<std::uint32_t>(cost_[i]) !=
+        std::bit_cast<std::uint32_t>(cost_of(i)))
+      return false;
+  return true;
 }
 
 void Fabric::refresh_edges_into(std::size_t i) {
   const Vec3 p = cell_at(i);
-  const bool passable = blocked_[i] == 0 && module_at_[i] < 0;
+  const bool passable = (edge_mask_[i] & (kBlockedBit | kModuleBit)) == 0;
   for (int d = 0; d < 6; ++d) {
     const Vec3 q = p + kNeighbours[static_cast<std::size_t>(d)];
     if (!inside(q)) continue;
@@ -108,7 +134,7 @@ ReachMap build_reach_map(const Fabric& fabric) {
   // build-time free passability, since no repair block exists yet.
   std::vector<std::uint32_t> queue;
   for (std::size_t i = 0; i < n; ++i) {
-    if (reach.label[i] >= 0 || fabric.blocked(i) || fabric.module_at(i) >= 0)
+    if (reach.label[i] >= 0 || fabric.blocked(i) || fabric.is_module(i))
       continue;
     const std::int32_t l = reach.labels++;
     reach.label[i] = l;
@@ -220,17 +246,31 @@ float heuristic(Vec3 p, const Box3& tree_box) {
                             axis(p.z, tree_box.lo.z, tree_box.hi.z));
 }
 
+/// Direction bits (kNeighbours order) of the steps from p that stay inside
+/// `region`, for a cell p inside it: each axis bound admits or drops one
+/// direction.
+std::uint8_t region_bits(Vec3 p, const Box3& region) {
+  return static_cast<std::uint8_t>(
+      (p.x < region.hi.x ? 1u : 0u) | (p.x > region.lo.x ? 2u : 0u) |
+      (p.y < region.hi.y ? 4u : 0u) | (p.y > region.lo.y ? 8u : 0u) |
+      (p.z < region.hi.z ? 16u : 0u) | (p.z > region.lo.z ? 32u : 0u));
+}
+
 /// Connect `source` to the partially built tree by A* restricted to
 /// `region` (computed by the caller: the warm window or a ladder rung).
 /// On success the backtracked path joins the tree (cells, box, tree
-/// marks). Neighbour admission is one mask read — the fabric's precomputed
-/// edge mask OR the per-net own-pin overlay — plus the region test. The
+/// marks). Neighbour admission is one mask: the fabric's precomputed edge
+/// mask OR the per-net own-pin overlay, AND the region bits of the popped
+/// cell (every queued cell lies inside the region, so a step leaves it
+/// only across one face). Set bits are walked in increasing direction, and
+/// a neighbour's entry cost is one read of the fabric's cost plane. The
 /// bucket queue pops the integer-keyed lower bound of f, ties LIFO. The
 /// lookahead (when `ctx` carries one) is consulted once per connect, for
 /// the source cell.
 bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
-             const Box3& region, Box3& tree_box, double present_factor,
-             const NetContext& ctx, SearchStats& stats) {
+             const Box3& region, Box3& tree_box, const NetContext& ctx,
+             SearchStats& stats) {
+  ++stats.connects;
   const std::size_t source_idx = fabric.index(source);
   if (scratch.on_tree(source_idx)) return true;
 
@@ -245,6 +285,7 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
     if (!ctx.lookahead->reachable(*ctx.reach, source_idx)) return false;
   }
 
+  TQEC_ASSERT(region.contains(source), "search source outside its region");
   BucketQueue& open = scratch.open;
   open.reset();
   scratch.begin_search();
@@ -257,27 +298,24 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
   while (!open.empty()) {
     const auto top = open.pop();
     ++stats.queue_pops;
-    if (top.g > scratch.g[top.cell]) continue;  // stale entry
-    if (scratch.on_tree(top.cell)) {
-      goal = top.cell;
+    const std::size_t ci = top.cell;
+    if (top.g > scratch.cells[ci].g) continue;  // stale entry
+    if (scratch.on_tree(ci)) {
+      goal = ci;
       break;
     }
-    const std::size_t ci = top.cell;
     const Vec3 p = fabric.cell_at(ci);
-    const std::uint8_t mask =
-        static_cast<std::uint8_t>(fabric.edge_mask(ci) | scratch.extra(ci));
-    for (int dir = 0; dir < 6; ++dir) {
-      if (!(mask & (1u << dir))) continue;
-      const Vec3 q = p + kNeighbours[static_cast<std::size_t>(dir)];
-      if (!region.contains(q)) continue;
+    unsigned mask =
+        static_cast<unsigned>(fabric.edge_mask(ci) | scratch.own(ci)) &
+        region_bits(p, region);
+    for (; mask != 0; mask &= mask - 1) {
+      const int dir = std::countr_zero(mask);
       const std::size_t qi = static_cast<std::size_t>(
           static_cast<std::ptrdiff_t>(ci) + fabric.stride(dir));
-      double cost = 1.0 + fabric.history(qi);
-      const int over = fabric.usage(qi) - (fabric.capacity(qi) - 1);
-      if (over > 0) cost += present_factor * over;
-      const float ng = top.g + static_cast<float>(cost);
-      if (scratch.seen(qi) && ng >= scratch.g[qi]) continue;
+      const float ng = top.g + fabric.cost(qi);
+      if (scratch.seen(qi) && ng >= scratch.cells[qi].g) continue;
       scratch.set_g(qi, ng, dir);
+      const Vec3 q = p + kNeighbours[static_cast<std::size_t>(dir)];
       open.push(static_cast<std::int64_t>(ng + heuristic(q, tree_box)), ng,
                 static_cast<std::uint32_t>(qi));
       ++stats.queue_pushes;
@@ -293,7 +331,7 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
       scratch.tree_cells.push_back(cur);
       tree_box = tree_box.expanded(fabric.cell_at(cur));
     }
-    const int dir = scratch.parent[cur];
+    const int dir = scratch.cells[cur].parent;
     if (cur == source_idx || dir < 0) break;
     // parent = cell we came FROM: step back against the stored direction.
     const Vec3 p =
@@ -320,7 +358,7 @@ std::vector<Vec3> access_cells_of(const Fabric& fabric,
     const Vec3 cell = placement.module_cell[static_cast<std::size_t>(m)] + off;
     if (!fabric.inside(cell)) continue;
     const std::size_t i = fabric.index(cell);
-    if (fabric.blocked(i) || fabric.module_at(i) >= 0) continue;
+    if (fabric.blocked(i) || fabric.is_module(i)) continue;
     cells.push_back(cell);
   }
   return cells;
@@ -332,8 +370,8 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   double present_factor, const NetContext& ctx,
-                   RoutedNet& out, SearchStats& stats) {
+                   const NetContext& ctx, RoutedNet& out,
+                   SearchStats& stats) {
   const auto& pins = nodes.net_pins[static_cast<std::size_t>(component)];
   out.component = component;
   out.cells.clear();
@@ -344,7 +382,7 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
   // this component's module cells (the shared mask excludes every module
   // cell; threading an own pin's loop is exactly what routing to it
   // means).
-  scratch.begin_extra();
+  scratch.begin_net();
   for (pdgraph::ModuleId m : pins) {
     const Vec3 pc = placement.module_cell[static_cast<std::size_t>(m)];
     const std::size_t pi = fabric.index(pc);
@@ -352,8 +390,8 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
     for (int d = 0; d < 6; ++d) {
       const Vec3 nq = pc + kNeighbours[static_cast<std::size_t>(d)];
       if (!fabric.inside(nq)) continue;
-      scratch.add_extra(fabric.index(nq),
-                        static_cast<std::uint8_t>(1u << (d ^ 1)));
+      scratch.add_own(fabric.index(nq),
+                      static_cast<std::uint8_t>(1u << (d ^ 1)));
     }
   }
 
@@ -386,7 +424,6 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                      manhattan(b.cell, entries[0].cell);
             });
 
-  scratch.begin_tree();
   scratch.tree_cells.clear();
   const std::size_t seed_idx = fabric.index(entries[0].cell);
   scratch.mark_tree(seed_idx);
@@ -394,8 +431,7 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
   Box3 tree_box{entries[0].cell, entries[0].cell};
 
   auto connect_once = [&](Vec3 target, const Box3& region) {
-    return connect(fabric, scratch, target, region, tree_box, present_factor,
-                   ctx, stats);
+    return connect(fabric, scratch, target, region, tree_box, ctx, stats);
   };
   auto connect_with_retries = [&](Vec3 target) {
     if (scratch.on_tree(fabric.index(target))) return true;

@@ -4,17 +4,19 @@
 //       cleanly separated from per-search scratch — a prerequisite for
 //       routing spatially disjoint nets concurrently against a read
 //       snapshot of the fabric (see net_batcher.h and DESIGN.md §Routing);
-//   (b) all per-search state (open queue storage, g/parent/tree stamp
-//       arrays) lives in a reusable per-worker SearchScratch, so the hot
-//       loop performs zero heap allocations after warm-up;
+//   (b) all per-search state (open queue storage, one packed g/parent/
+//       tree/own-pin record per cell) lives in a reusable per-worker
+//       SearchScratch, so the hot loop performs zero heap allocations
+//       after warm-up;
 //   (c) the open list is a monotone bucket (Dial) queue keyed on the
 //       integer lower bound of f — O(1) push/pop against a binary heap's
 //       O(log n).
 //
 // Thread-safety contract: during a batch's search phase every worker holds
 // a distinct SearchScratch and treats the Fabric as read-only; all fabric
-// mutation (occupy/vacate/history/hard blocks) happens on the negotiation
-// thread between search phases. Searches are pure functions of
+// mutation (occupy/vacate/history/present factor/hard blocks, and with
+// them the cost plane) happens on the negotiation thread between search
+// phases. Searches are pure functions of
 // (fabric snapshot, net, options), which is what makes the batched
 // schedule's results independent of the worker count.
 #pragma once
@@ -52,21 +54,32 @@ inline void bump_epoch(int& epoch, std::vector<int>& stamps) {
 }  // namespace detail
 
 /// Shared routing fabric: the lattice-cell grid spanning the placement
-/// core plus a margin, with per-cell obstacle, capacity, usage, and
-/// history state laid out as parallel SoA arrays (the search hot loop
-/// touches blocked/module/usage/capacity/history; keeping each in its own
-/// dense array maximizes cache-line utility for the 6-neighbour
-/// scans). Per-search state deliberately lives elsewhere (SearchScratch).
+/// core plus a margin, with per-cell state laid out as parallel SoA arrays
+/// (edge mask, usage, capacity, history, cost). The search hot loop reads
+/// only two of them: the popped cell's edge mask and each admitted
+/// neighbour's cost. Per-search state deliberately lives elsewhere
+/// (SearchScratch).
 ///
 /// The per-cell edge mask folds the 6-direction bounds/blocked/module
 /// checks into one precomputed byte: bit d of edge_mask(i) is set iff the
 /// neighbour i + kNeighbours[d] is inside the fabric, not blocked, and not
 /// a module cell — i.e. generically passable. Own-pin module cells (legal
 /// for the net being routed only) are layered on top per search via
-/// SearchScratch's extra mask, so the shared mask never depends on which
-/// net is searching. hard_block/unblock keep the masks in lockstep.
+/// SearchScratch's own-pin bits, so the shared mask never depends on which
+/// net is searching. The two spare bits hold the cell's own blocked and
+/// module flags. hard_block/unblock keep the masks in lockstep.
+///
+/// The cost plane holds each cell's PathFinder entry cost,
+///   cost(i) = float(1 + history + present * max(0, usage - capacity + 1)),
+/// evaluated in double and narrowed once, so a search adds exactly the
+/// float it would have computed per neighbour. Every mutator of an input
+/// (occupy, vacate, add_capacity, add_history, set_present_factor)
+/// refreshes the cells it touches; all run on the negotiation thread, so
+/// the plane is frozen during a batch's search phase.
 class Fabric {
  public:
+  /// Throws TqecError when the fabric would exceed UINT32_MAX cells (queue
+  /// entries store 32-bit cell ids).
   Fabric(const place::NodeSet& nodes, const place::Placement& placement,
          int margin);
 
@@ -82,64 +95,102 @@ class Fabric {
     return (static_cast<std::size_t>(rel.y) * dims_.z + rel.z) * dims_.x +
            rel.x;
   }
+  /// Inverse of index(). Cell ids fit 32 bits (the constructor checks),
+  /// so the divisions run in 32-bit arithmetic.
   Vec3 cell_at(std::size_t i) const {
-    const int x = static_cast<int>(i % static_cast<std::size_t>(dims_.x));
-    const std::size_t rest = i / static_cast<std::size_t>(dims_.x);
-    const int z = static_cast<int>(rest % static_cast<std::size_t>(dims_.z));
-    const int y = static_cast<int>(rest / static_cast<std::size_t>(dims_.z));
-    return box_.lo + Vec3{x, y, z};
+    const auto c = static_cast<std::uint32_t>(i);
+    const auto dx = static_cast<std::uint32_t>(dims_.x);
+    const auto dz = static_cast<std::uint32_t>(dims_.z);
+    const std::uint32_t rest = c / dx;
+    return box_.lo + Vec3{static_cast<int>(c % dx), static_cast<int>(rest / dz),
+                          static_cast<int>(rest % dz)};
   }
 
-  bool blocked(std::size_t i) const { return blocked_[i] != 0; }
+  /// Edge-mask bits above the six direction bits: the cell's own state.
+  static constexpr std::uint8_t kBlockedBit = 0x40;
+  static constexpr std::uint8_t kModuleBit = 0x80;
+
+  bool blocked(std::size_t i) const {
+    return (edge_mask_[i] & kBlockedBit) != 0;
+  }
   void hard_block(std::size_t i) {
-    blocked_[i] = 1;
+    edge_mask_[i] = static_cast<std::uint8_t>(edge_mask_[i] | kBlockedBit);
     refresh_edges_into(i);
   }
   /// Lift a hard block placed by the repair pass (never a box cell).
   void unblock(std::size_t i) {
-    blocked_[i] = 0;
+    edge_mask_[i] = static_cast<std::uint8_t>(edge_mask_[i] & ~kBlockedBit);
     refresh_edges_into(i);
   }
-  int module_at(std::size_t i) const { return module_at_[i]; }
+  bool is_module(std::size_t i) const {
+    return (edge_mask_[i] & kModuleBit) != 0;
+  }
 
-  /// Bit d set iff i + kNeighbours[d] is inside, unblocked, and not a
-  /// module cell. Stride(d) is the index delta of kNeighbours[d]; only
-  /// valid to apply when the corresponding mask bit is set.
+  /// Bits 0-5: bit d set iff i + kNeighbours[d] is inside, unblocked, and
+  /// not a module cell; bits 6-7: kBlockedBit / kModuleBit of i itself.
+  /// Stride(d) is the index delta of kNeighbours[d]; only valid to apply
+  /// when the corresponding direction bit is set.
   std::uint8_t edge_mask(std::size_t i) const { return edge_mask_[i]; }
   std::ptrdiff_t stride(int dir) const {
     return strides_[static_cast<std::size_t>(dir)];
   }
   int usage(std::size_t i) const { return usage_[i]; }
   int capacity(std::size_t i) const { return capacity_[i]; }
-  void add_capacity(std::size_t i, int d) {
-    capacity_[i] = detail::counter_add(capacity_[i], d);
-  }
-  float& history(std::size_t i) { return history_[i]; }
   float history(std::size_t i) const { return history_[i]; }
+  double present_factor() const { return present_factor_; }
+  /// The cost a search pays to enter cell i.
+  float cost(std::size_t i) const { return cost_[i]; }
 
-  // Occupancy counters. Mutation is negotiation-thread-only; which nets
-  // sit on a cell is read off the routes themselves (RoutingResult::nets),
-  // so the fabric keeps no per-cell net lists.
+  // Mutation is negotiation-thread-only; which nets sit on a cell is read
+  // off the routes themselves (RoutingResult::nets), so the fabric keeps
+  // no per-cell net lists.
   void occupy(std::size_t i) {
     usage_[i] = detail::counter_add(usage_[i], +1);
+    refresh_cost(i);
   }
   void vacate(std::size_t i) {
     usage_[i] = detail::counter_add(usage_[i], -1);
+    refresh_cost(i);
   }
+  void add_capacity(std::size_t i, int d) {
+    capacity_[i] = detail::counter_add(capacity_[i], d);
+    refresh_cost(i);
+  }
+  void add_history(std::size_t i, float d) {
+    history_[i] += d;
+    refresh_cost(i);
+  }
+  /// Set the present-congestion factor and refresh the whole plane in one
+  /// sweep, which first adds `overuse_history` to the history of every
+  /// overused cell (usage > capacity): the router's per-iteration
+  /// congestion pass. Returns the number of overused cells.
+  int set_present_factor(double present, float overuse_history);
+
+  /// Whether every cell's cost equals a fresh evaluation of its inputs
+  /// (an O(cells) consistency check for debug builds).
+  bool cost_plane_consistent() const;
 
  private:
+  float cost_of(std::size_t i) const {
+    double c = 1.0 + history_[i];
+    const int over = usage_[i] - (capacity_[i] - 1);
+    if (over > 0) c += present_factor_ * over;
+    return static_cast<float>(c);
+  }
+  void refresh_cost(std::size_t i) { cost_[i] = cost_of(i); }
+
   /// Recompute the mask bits that point INTO cell i (one bit in each
   /// inside neighbour) after its blocked state changed.
   void refresh_edges_into(std::size_t i);
 
   Box3 box_;
   Vec3 dims_;
-  std::vector<std::uint8_t> blocked_;
-  std::vector<int> module_at_;
+  std::vector<std::uint8_t> edge_mask_;
   std::vector<std::uint16_t> usage_;
   std::vector<std::uint16_t> capacity_;
   std::vector<float> history_;
-  std::vector<std::uint8_t> edge_mask_;
+  std::vector<float> cost_;
+  double present_factor_ = kPresentBase;
   std::array<std::ptrdiff_t, 6> strides_{};
 };
 
@@ -285,6 +336,9 @@ class BucketQueue {
 struct SearchStats {
   std::int64_t queue_pushes = 0;
   std::int64_t queue_pops = 0;
+  /// connect() calls: one per restricted A* search (ladder rungs and warm
+  /// attempts count separately).
+  std::int64_t connects = 0;
   /// connect() calls that used the obstacle-aware lookahead term.
   std::int64_t lookahead_connects = 0;
   /// Warm-window first attempts that succeeded / fell through to the
@@ -295,6 +349,7 @@ struct SearchStats {
   SearchStats& operator+=(const SearchStats& o) {
     queue_pushes += o.queue_pushes;
     queue_pops += o.queue_pops;
+    connects += o.connects;
     lookahead_connects += o.lookahead_connects;
     window_hits += o.window_hits;
     window_misses += o.window_misses;
@@ -302,60 +357,91 @@ struct SearchStats {
   }
 };
 
-/// Per-worker search scratch: open queue plus the g/parent/tree/extra-
-/// mask stamp arrays. One instance per routing worker, reused across every
-/// search that worker runs; epoch stamps make per-search clears O(1) and
-/// the retained capacity makes them allocation-free.
+/// Per-worker search scratch: the open queue plus one packed 16-byte
+/// record per fabric cell. One instance per routing worker, reused across
+/// every search that worker runs; epoch stamps make per-search and per-net
+/// clears O(1) and the retained capacity makes them allocation-free.
+///
+/// A record's g and parent are valid iff its `search` stamp equals
+/// search_epoch; its own-pin bits and tree flag are valid iff its `net`
+/// stamp equals net_epoch (both are per-net state, so they share one
+/// epoch). On the (astronomically rare) wrap of an epoch every record's
+/// stamp for it is cleared, so a stale stamp can never alias a fresh
+/// epoch.
 struct SearchScratch {
+  struct Cell {
+    float g;
+    std::int32_t search;
+    std::int32_t net;
+    /// Direction (kNeighbours index) the search entered this cell by; -1
+    /// at the source.
+    std::int8_t parent;
+    /// Own-pin overlay: extra passable-direction bits OR-ed onto
+    /// Fabric::edge_mask in the hot loop.
+    std::uint8_t own;
+    std::uint8_t tree;
+  };
+  static_assert(sizeof(Cell) == 16);
+
   BucketQueue open;
-  std::vector<float> g;
-  std::vector<int> g_version;
-  std::vector<std::int8_t> parent;
-  std::vector<int> tree_version;
-  /// Per-net edge-mask overlay: extra passable-direction bits (own-pin
-  /// module cells) OR-ed onto Fabric::edge_mask in the hot loop.
-  std::vector<std::uint8_t> extra_mask;
-  std::vector<int> extra_version;
+  std::vector<Cell> cells;
   int search_epoch = 0;
-  int tree_epoch = 0;
-  int extra_epoch = 0;
+  int net_epoch = 0;
   /// Tree cells of the net currently being routed (fabric indices).
   std::vector<std::size_t> tree_cells;
 
-  /// Size the arrays for a fabric of `cells` cells (idempotent).
-  void ensure(std::size_t cells) {
-    if (g.size() == cells) return;
-    g.assign(cells, 0.0f);
-    g_version.assign(cells, 0);
-    parent.assign(cells, -1);
-    tree_version.assign(cells, 0);
-    extra_mask.assign(cells, 0);
-    extra_version.assign(cells, 0);
-    search_epoch = tree_epoch = extra_epoch = 0;
+  /// Size the records for a fabric of `n` cells (idempotent).
+  void ensure(std::size_t n) {
+    if (cells.size() == n) return;
+    cells.assign(n, Cell{0.0f, 0, 0, -1, 0, 0});
+    search_epoch = net_epoch = 0;
   }
 
-  void begin_search() { detail::bump_epoch(search_epoch, g_version); }
-  bool seen(std::size_t i) const { return g_version[i] == search_epoch; }
-  void set_g(std::size_t i, float v, int parent_dir) {
-    g[i] = v;
-    g_version[i] = search_epoch;
-    parent[i] = static_cast<std::int8_t>(parent_dir);
-  }
-
-  void begin_tree() { detail::bump_epoch(tree_epoch, tree_version); }
-  bool on_tree(std::size_t i) const { return tree_version[i] == tree_epoch; }
-  void mark_tree(std::size_t i) { tree_version[i] = tree_epoch; }
-
-  void begin_extra() { detail::bump_epoch(extra_epoch, extra_version); }
-  void add_extra(std::size_t i, std::uint8_t bits) {
-    if (extra_version[i] != extra_epoch) {
-      extra_mask[i] = 0;
-      extra_version[i] = extra_epoch;
+  void begin_search() {
+    if (search_epoch == std::numeric_limits<int>::max()) {
+      for (Cell& c : cells) c.search = 0;
+      search_epoch = 0;
     }
-    extra_mask[i] = static_cast<std::uint8_t>(extra_mask[i] | bits);
+    ++search_epoch;
   }
-  std::uint8_t extra(std::size_t i) const {
-    return extra_version[i] == extra_epoch ? extra_mask[i] : 0;
+  bool seen(std::size_t i) const { return cells[i].search == search_epoch; }
+  void set_g(std::size_t i, float v, int parent_dir) {
+    Cell& c = cells[i];
+    c.g = v;
+    c.search = search_epoch;
+    c.parent = static_cast<std::int8_t>(parent_dir);
+  }
+
+  /// Start a new net: forget every tree mark and own-pin bit.
+  void begin_net() {
+    if (net_epoch == std::numeric_limits<int>::max()) {
+      for (Cell& c : cells) c.net = 0;
+      net_epoch = 0;
+    }
+    ++net_epoch;
+  }
+  bool on_tree(std::size_t i) const {
+    return cells[i].net == net_epoch && cells[i].tree != 0;
+  }
+  void mark_tree(std::size_t i) { net_record(i).tree = 1; }
+  void add_own(std::size_t i, std::uint8_t bits) {
+    Cell& c = net_record(i);
+    c.own = static_cast<std::uint8_t>(c.own | bits);
+  }
+  std::uint8_t own(std::size_t i) const {
+    return cells[i].net == net_epoch ? cells[i].own : 0;
+  }
+
+ private:
+  /// Cell i's record with its per-net fields valid for the current net.
+  Cell& net_record(std::size_t i) {
+    Cell& c = cells[i];
+    if (c.net != net_epoch) {
+      c.net = net_epoch;
+      c.own = 0;
+      c.tree = 0;
+    }
+    return c;
   }
 };
 
@@ -373,15 +459,15 @@ struct NetContext {
 /// snapshot: pins join the partially built tree one at a time by A* within
 /// a restricted region — the warm window from `ctx` first (when set), then
 /// the classic failure-inflated margin ladder. Pure function of
-/// (fabric, nodes, placement, options, component, present_factor, ctx) —
-/// the fabric is only read. Returns false when some pin could not be
+/// (fabric, nodes, placement, options, component, ctx) — the fabric,
+/// whose cost plane carries the history and present costs, is only read. Returns false when some pin could not be
 /// connected even by an unrestricted search; `out.cells` then holds the
 /// partial tree. Queue traffic is accumulated into `stats`.
 bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   double present_factor, const NetContext& ctx,
-                   RoutedNet& out, SearchStats& stats);
+                   const NetContext& ctx, RoutedNet& out,
+                   SearchStats& stats);
 
 }  // namespace tqec::route

@@ -282,6 +282,8 @@ TEST(CompileTest, StatsJsonV2RoundTrips) {
   const json::Value& route = doc.at("route");
   EXPECT_EQ(route.at("iterations").as_int(), r.routing.iterations);
   EXPECT_EQ(route.at("total_wire").as_int(), r.routing.total_wire);
+  EXPECT_GT(r.routing.connects, 0);
+  EXPECT_EQ(route.at("connects").as_int(), r.routing.connects);
   EXPECT_EQ(route.at("overused_per_iter").array.size(),
             r.routing.overused_per_iter.size());
   const json::Value& hist = route.at("congestion_histogram");
@@ -344,6 +346,10 @@ TEST(CompileTest, StatsJsonV2EmbedsMetricsWhenTracingEnabled) {
   const json::Value& metrics = doc.at("metrics");
   EXPECT_FALSE(metrics.at("counters").object.empty());
   EXPECT_TRUE(metrics.at("gauges").find("compile.volume") != nullptr);
+  const json::Value* connects = metrics.at("counters").find("route.connects");
+  ASSERT_NE(connects, nullptr);  // summed over every y-gap level run
+  EXPECT_GE(connects->as_int(), r.routing.connects);
+  EXPECT_GT(r.routing.connects, 0);
   const json::Value& series = metrics.at("series");
   for (const char* name : {"place.sa_cost", "place.sa_temperature",
                            "place.sa_accept_rate", "route.overused",

@@ -309,7 +309,7 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   RoutedNet out_off;
   SearchStats stats_off;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             1.0, cold, out_off, stats_off));
+                             cold, out_off, stats_off));
   EXPECT_GT(stats_off.queue_pushes, 0);
 
   NetContext warm;
@@ -318,7 +318,7 @@ TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
   RoutedNet out_on;
   SearchStats stats_on;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             1.0, warm, out_on, stats_on));
+                             warm, out_on, stats_on));
 
   EXPECT_GT(stats_on.lookahead_connects, 0);
   // The open pin is outside the pocketed seed's closure, so the lookahead

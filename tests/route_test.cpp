@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -24,6 +25,7 @@
 #include "place/nodes.h"
 #include "place/placer.h"
 #include "route/router.h"
+#include "route/search_kernel.h"
 
 namespace tqec::route {
 namespace {
@@ -686,6 +688,157 @@ TEST(RouterTest, WallForcesShortestDetour) {
   EXPECT_FALSE(cells.count({0, 0, 1}));
   EXPECT_FALSE(cells.count({1, 0, 1}));
   EXPECT_TRUE(cells.count({2, 0, 1}));
+}
+
+// ---------------------------------------------------------------------------
+// Cost plane and search scratch.
+
+/// The entry cost connect() computed per neighbour before the fabric kept a
+/// cost plane: the test oracle the plane must match bit for bit.
+float per_neighbour_cost(float history, int usage, int capacity,
+                         double present_factor) {
+  double cost = 1.0 + history;
+  const int over = usage - (capacity - 1);
+  if (over > 0) cost += present_factor * over;
+  return static_cast<float>(cost);
+}
+
+// Every mutator of a cost input refreshes the plane: after each of a long
+// random sequence of occupy/vacate/add_capacity/add_history/
+// set_present_factor steps, every cell's cost equals the per-neighbour
+// formula over an independently tracked copy of the inputs.
+TEST(FabricTest, CostPlaneMatchesPerNeighbourFormula) {
+  // One module pinned by three nets: its cell starts at capacity 3.
+  GridFixture f = open_fixture({{0, 0, 0}, {3, 0, 0}, {0, 0, 3}, {3, 0, 3}});
+  f.nodes.net_pins = {{0, 1}, {0, 2}, {0, 3}};
+  Fabric fabric(f.nodes, f.placement, /*margin=*/1);
+  const std::size_t n = fabric.cell_count();
+  std::vector<int> usage(n, 0);
+  std::vector<int> capacity(n);
+  std::vector<float> history(n, 0.0f);
+  double present = fabric.present_factor();
+  for (std::size_t i = 0; i < n; ++i) capacity[i] = fabric.capacity(i);
+  ASSERT_EQ(*std::max_element(capacity.begin(), capacity.end()), 3);
+
+  const double factors[] = {1.0, kPresentBase, kPresentBase * 1.6,
+                            123.456, kPresentMax};
+  const float histories[] = {0.5f, 1.0f / 3.0f,
+                             static_cast<float>(kHistoryIncrement), 7.25f};
+  Rng rng(17);
+  for (int step = 0; step < 2000; ++step) {
+    const auto i = static_cast<std::size_t>(
+        rng.range(0, static_cast<int>(n) - 1));
+    switch (rng.range(0, 5)) {
+      case 0:
+      case 1:
+        fabric.occupy(i);
+        ++usage[i];
+        break;
+      case 2:
+        if (usage[i] == 0) break;
+        fabric.vacate(i);
+        --usage[i];
+        break;
+      case 3: {
+        const int d = rng.range(-capacity[i], 3);
+        fabric.add_capacity(i, d);
+        capacity[i] += d;
+        break;
+      }
+      case 4: {
+        const float h = histories[rng.range(0, 3)];
+        fabric.add_history(i, h);
+        history[i] += h;
+        break;
+      }
+      default: {
+        present = factors[rng.range(0, 4)];
+        const float charge =
+            rng.chance(0.5) ? static_cast<float>(kHistoryIncrement) : 0.0f;
+        int overused = 0;
+        for (std::size_t c = 0; c < n; ++c)
+          if (usage[c] > capacity[c]) {
+            ++overused;
+            history[c] += charge;
+          }
+        EXPECT_EQ(fabric.set_present_factor(present, charge), overused);
+        break;
+      }
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      const float want =
+          per_neighbour_cost(history[c], usage[c], capacity[c], present);
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(fabric.cost(c)),
+                std::bit_cast<std::uint32_t>(want))
+          << "cell " << c << " after step " << step;
+    }
+  }
+  EXPECT_TRUE(fabric.cost_plane_consistent());
+}
+
+// Queue entries carry 32-bit cell ids, so a fabric past UINT32_MAX cells
+// must be refused with a structured error before anything is allocated.
+TEST(FabricTest, OversizedCoreIsAStructuredError) {
+  GridFixture f;  // no modules, no nets
+  f.placement.core = Box3{{0, 0, 0}, {2047, 2047, 1023}};  // 2^32 cells
+  f.placement.volume = f.placement.core.volume();
+  RouteOptions opt;
+  opt.margin = 0;
+  try {
+    route_nets(f.nodes, f.placement, opt);
+    FAIL() << "an oversized fabric was accepted";
+  } catch (const TqecError& e) {
+    EXPECT_NE(std::string(e.what()).find("2^32 - 1 cells"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The packed scratch record's epochs wrap at INT_MAX by clearing every
+// stamp. A scratch holding records stamped at small epochs (as earlier
+// nets and searches leave them, here with g 0 and a tree mark, so an
+// aliased record blocks every relaxation and ends every search) that
+// jumps to just below the wrap reuses those epochs after it; it must still
+// reproduce a fresh scratch's cells and pops on each of three routes of
+// the same net.
+TEST(SearchScratchTest, EpochWrapKeepsResults) {
+  GridFixture f = open_fixture({{0, 0, 0}, {5, 0, 3}, {2, 0, 6}, {6, 0, 6}});
+  f.placement.module_cell.push_back({3, 0, 3});  // a wall module
+  f.nodes.node_of_module.push_back(4);
+  f.nodes.module_offset.push_back({});
+  f.nodes.flip_of_module.push_back(0);
+  f.nodes.access_offsets.push_back({});
+  const Fabric fabric(f.nodes, f.placement, /*margin=*/2);
+  RouteOptions opt;
+  const NetContext cold;
+
+  SearchScratch fresh;
+  RoutedNet want;
+  SearchStats want_stats;
+  ASSERT_TRUE(route_one_net(fabric, fresh, f.nodes, f.placement, opt, 0, cold,
+                            want, want_stats));
+  ASSERT_GT(want_stats.connects, 2);
+
+  SearchScratch wrapped;
+  wrapped.ensure(fabric.cell_count());
+  for (std::size_t i = 0; i < wrapped.cells.size(); ++i) {
+    const auto stamp = static_cast<std::int32_t>(1 + i % 4);
+    wrapped.cells[i] = {0.0f, stamp, stamp, 0, 0, 1};
+  }
+  wrapped.search_epoch = std::numeric_limits<int>::max() - 1;
+  wrapped.net_epoch = std::numeric_limits<int>::max() - 1;
+  RoutedNet out;
+  for (int run = 0; run < 3; ++run) {
+    SearchStats run_stats;
+    ASSERT_TRUE(route_one_net(fabric, wrapped, f.nodes, f.placement, opt, 0,
+                              cold, out, run_stats));
+    EXPECT_EQ(out.cells, want.cells) << "run " << run;
+    EXPECT_EQ(run_stats.queue_pops, want_stats.queue_pops) << "run " << run;
+    EXPECT_EQ(run_stats.queue_pushes, want_stats.queue_pushes);
+  }
+  // Both epochs wrapped and restarted from 1.
+  EXPECT_EQ(wrapped.net_epoch, 2);
+  EXPECT_LT(wrapped.search_epoch, 3 * want_stats.connects);
 }
 
 }  // namespace
