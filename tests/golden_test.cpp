@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/hash.h"
+#include "common/trace.h"
 #include "core/compiler.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
@@ -150,6 +151,34 @@ TEST(GoldenTest, DualOnly_hwb5_53) {
   expect_golden(compile_paper("hwb5_53", core::PipelineMode::DualOnly),
                 {519480, {30, 111, 156}, 0, 10023017, 155, 4254876,
                  0x3ec6be1169946212ull, 0x968198a089bb29f7ull});
+}
+
+// The third pipeline mode: no bridging, every net its own component.
+TEST(GoldenTest, ModularOnly_4gt10_v1_81) {
+  expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::ModularOnly),
+                {20880, {24, 30, 29}, 0, 21827, 633, 994231,
+                 0x1e7814069f2f0878ull, 0x2e7cb3488e3471e9ull});
+}
+
+long long counter(const trace::MetricsSnapshot& m, const char* name) {
+  for (const auto& [key, value] : m.counters)
+    if (key == name) return value;
+  return -1;
+}
+
+// The rows above see only the kept level. The trace counters sum every
+// level a compile runs, so this pins rd84_142's discarded y-gap 0 level
+// too.
+TEST(GoldenTest, Full_rd84_142_AllLevelRouteCounters) {
+  trace::set_enabled(true);
+  const core::CompileResult r =
+      compile_paper("rd84_142", core::PipelineMode::Full);
+  trace::set_enabled(false);
+  trace::reset_metrics();
+  trace::reset_events();
+  expect_golden(r, kFull_rd84_142);
+  EXPECT_EQ(counter(r.metrics, "route.queue_pops"), 1239725);
+  EXPECT_EQ(counter(r.metrics, "route.connects"), 46277);
 }
 
 TEST(GoldenTest, Sharded_long_8x16_t1_c2_Window4) {
