@@ -2,8 +2,8 @@
 // schedule:
 //
 //   RouteKernel                      whole-routing time at threads=1 (bucket
-//                                    open list, batched schedule,
-//                                    lookahead, warm windows);
+//                                    open list, batched schedule, warm
+//                                    windows);
 //   RouteThreads/N                   batched schedule at N worker threads
 //                                    (the CI bench-smoke sweep; wall-clock
 //                                    gains need real cores, results are

@@ -430,15 +430,13 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   result.timings.attempts.reserve(attempts);
   for (const Attempt& a : outcomes) result.timings.attempts.push_back(a.stats);
 
-  place::Placement placement = std::move(outcomes[best].placement);
-  route::RoutingResult routing = std::move(outcomes[best].routing);
-  result.placement = placement;
-  result.routing = routing;
-  result.routed_legal = routing.legal;
-  result.volume = routing.volume;
+  result.placement = std::move(outcomes[best].placement);
+  result.routing = std::move(outcomes[best].routing);
+  result.routed_legal = result.routing.legal;
+  result.volume = result.routing.volume;
   if (options.emit_geometry) {
-    result.geometry =
-        emit_geometry(graph, nodes, placement, routing, circuit.name());
+    result.geometry = emit_geometry(graph, nodes, result.placement,
+                                    result.routing, circuit.name());
     // One occupancy-grid build covers the whole geometry record: exact cell
     // count from the population count, plus the grid's own build cost and
     // footprint (the same grid the validator's fast path rasterizes).
@@ -609,7 +607,6 @@ void write_stats_json(json::Writer& w, const CompileResult& result) {
   w.field("batches", routing.batches);
   w.field("conflicts_requeued", routing.conflicts_requeued);
   w.field("parallel_efficiency", routing.parallel_efficiency);
-  w.field("lookahead_nets", routing.lookahead_nets);
   w.field("window_hits", routing.window_hits);
   w.field("window_misses", routing.window_misses);
   w.field("warm_started", routing.warm_started);

@@ -148,10 +148,8 @@ struct CompileOptions {
   X(int, route_batches, 0, routing, batches)                                 \
   X(int, route_conflicts_requeued, 0, routing, conflicts_requeued)           \
   X(double, route_parallel_efficiency, 0, routing, parallel_efficiency)      \
-  /* Nets searched with the obstacle-aware lookahead, warm-window first */   \
-  /* hits vs. ladder fallbacks, and whether the attempt consumed the */      \
-  /* previous attempt's NegotiationMemory (--route-warm-start) */            \
-  X(int, route_lookahead_nets, 0, routing, lookahead_nets)                   \
+  /* Warm-window first hits vs. ladder fallbacks, and whether the */         \
+  /* attempt consumed the previous NegotiationMemory (--route-warm-start) */ \
   X(std::int64_t, route_window_hits, 0, routing, window_hits)                \
   X(std::int64_t, route_window_misses, 0, routing, window_misses)            \
   X(bool, route_warm_started, false, routing, warm_started)

@@ -111,6 +111,11 @@ void write_vec3(std::ostream& out, Vec3 v) {
   out << v.x << ' ' << v.y << ' ' << v.z;
 }
 
+/// Record format version, written in the `tqecck` header line. Bump it
+/// whenever a field list the record writes changes: a record of another
+/// version fails soft (its window recompiles) instead of misreading.
+constexpr std::string_view kCheckpointVersion = "3";
+
 // The `counts`, `timings` and `attempt` lines hold every field of their
 // list, in list order (bools as 0/1, doubles at 17 significant digits, so
 // they read back bit-exact). The attempt's `selected` flag is implied — a
@@ -133,7 +138,7 @@ struct WriteTokens {
 void write_checkpoint(std::ostream& out, const std::string& digest,
                       int index, int total, const WindowOutcome& o) {
   out << std::setprecision(17);
-  out << "tqecck 2\n";
+  out << "tqecck " << kCheckpointVersion << "\n";
   out << "digest " << digest << "\n";
   out << "window " << index << ' ' << total << "\n";
   out << "legal " << (o.legal ? 1 : 0) << "\n";
@@ -271,7 +276,7 @@ std::optional<WindowOutcome> read_checkpoint(std::istream& in,
     const std::string& kw = t[0];
     int i1 = 0, i2 = 0;
     if (kw == "tqecck") {
-      if (t.size() < 2 || t[1] != "2") return std::nullopt;
+      if (t.size() < 2 || t[1] != kCheckpointVersion) return std::nullopt;
       header = true;
     } else if (!header) {
       return std::nullopt;

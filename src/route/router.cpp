@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
 #include <vector>
 
 #include "common/logging.h"
@@ -83,6 +82,15 @@ class Router {
     return stop_ != nullptr && stop_->cancelled();
   }
 
+  /// Net priority, a total order: most pins first, ties by component id.
+  /// It orders the negotiation sweep and picks a contested cell's repair
+  /// winner, so neither depends on the sort algorithm.
+  bool routes_before(int a, int b) const {
+    const std::size_t pa = nodes_.net_pins[static_cast<std::size_t>(a)].size();
+    const std::size_t pb = nodes_.net_pins[static_cast<std::size_t>(b)].size();
+    return pa != pb ? pa > pb : a < b;
+  }
+
   /// A component's pin bounding box.
   Box3 pin_box(int component) const {
     Box3 box;
@@ -107,6 +115,8 @@ class Router {
   /// current route (its cells survive rip_up, which only touches the
   /// fabric), falling back to the window imported from NegotiationMemory
   /// for a net that has not been routed in this run yet. Empty = cold.
+  /// Reads only negotiation-thread state that is frozen during a batch's
+  /// search phase.
   Box3 window_of(int component, const RoutedNet& current) const {
     Box3 w;
     for (const Vec3& cell : current.cells) w = w.expanded(cell);
@@ -115,29 +125,17 @@ class Router {
     return w;
   }
 
-  /// Per-search context: the component's lookahead (shared reach map +
-  /// label set) and its warm window. Reads only negotiation-thread state
-  /// that is frozen during a batch's search phase.
-  NetContext context_of(int component, const RoutedNet& current) const {
-    NetContext ctx;
-    ctx.reach = &reach_map_;
-    ctx.lookahead = &lookahead_maps_[static_cast<std::size_t>(component)];
-    ctx.window = window_of(component, current);
-    return ctx;
-  }
-
   bool route_component(int component, RoutedNet& out) {
-    const NetContext ctx = context_of(component, out);
+    const Box3 window = window_of(component, out);
     SearchStats stats;
     const bool ok = route_one_net(fabric_, scratch_[0], nodes_, placement_,
-                                  opt_, component, ctx, out, stats);
+                                  opt_, component, window, out, stats);
     net_stats_[static_cast<std::size_t>(component)] += stats;
     return ok;
   }
 
   void import_memory(RoutingResult& result, int components);
   void export_memory(const RoutingResult& result, int components) const;
-  void build_lookahead_maps(int components);
 
   const place::NodeSet& nodes_;
   const place::Placement& placement_;
@@ -156,29 +154,10 @@ class Router {
   const NegotiationMemory* warm_;
   NegotiationMemory* memory_out_;
   const CancelToken* stop_;
-  /// Shared build-time free-space labeling plus each component's
-  /// reachable-label set.
-  ReachMap reach_map_;
-  std::vector<LookaheadMap> lookahead_maps_;
   /// Initial warm windows imported from NegotiationMemory (empty when
   /// cold).
   std::vector<Box3> warm_window_;
 };
-
-/// Label the fabric's free space once, then derive every component's
-/// reachable-label set (O(pins) each). Both read only build-time fabric
-/// state — this must run before the first repair hard block — so the
-/// per-component builds run freely in parallel.
-void Router::build_lookahead_maps(int components) {
-  reach_map_ = build_reach_map(fabric_);
-  lookahead_maps_.assign(static_cast<std::size_t>(components), LookaheadMap{});
-  parallel_for(static_cast<std::size_t>(components), threads_,
-               [&](std::size_t c) {
-                 lookahead_maps_[c] = build_lookahead(
-                     fabric_, reach_map_, nodes_, placement_,
-                     static_cast<int>(c));
-               });
-}
 
 /// Seed this run from a previous attempt's negotiation state: history
 /// costs are replayed by absolute coordinate over the fabric-box overlap
@@ -292,22 +271,12 @@ RoutingResult Router::run() {
   // which nets happen to be congestion-affected.
   std::vector<int> order(static_cast<std::size_t>(components));
   for (int i = 0; i < components; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return std::tuple(-static_cast<int>(
-                          nodes_.net_pins[static_cast<std::size_t>(a)].size()),
-                      a) <
-           std::tuple(-static_cast<int>(
-                          nodes_.net_pins[static_cast<std::size_t>(b)].size()),
-                      b);
-  });
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return routes_before(a, b); });
 
-  // Warm-start import (history + windows) and lookahead maps come before
-  // the first iteration so even iteration 1's searches benefit.
+  // Warm-start import (history + windows) comes before the first
+  // iteration so even iteration 1's searches benefit.
   import_memory(result, components);
-  {
-    TQEC_TRACE_SPAN("route.lookahead");
-    build_lookahead_maps(components);
-  }
 
   // Base declared regions are a function of the (fixed) pin placement
   // only: compute them once. The effective region additionally covers the
@@ -365,14 +334,14 @@ RoutingResult Router::run() {
         candidate_ok.assign(batch.size(), 0);
         // Search phase: the fabric is frozen; each worker slot owns a
         // scratch, so concurrent searches never share mutable state. The
-        // context reads the net's pre-rip-up route (rip_up only touches
-        // the fabric) and the shared lookahead maps, both frozen here.
+        // warm window reads the net's pre-rip-up route (rip_up only
+        // touches the fabric), also frozen here.
         auto search_one = [&](std::size_t slot, std::size_t i) {
-          const NetContext ctx = context_of(
+          const Box3 window = window_of(
               batch[i], result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
               route_one_net(fabric_, scratch_[slot], nodes_, placement_,
-                            opt_, batch[i], ctx, candidates[i],
+                            opt_, batch[i], window, candidates[i],
                             candidate_stats[i])
                   ? 1
                   : 0;
@@ -521,18 +490,16 @@ RoutingResult Router::run() {
     for (std::size_t idx : contested) {
       if (fabric_.usage(idx) <= fabric_.capacity(idx))
         continue;  // resolved by an earlier reroute in this scan
-      // Contestants: the nets whose routes hold the cell, collected in
-      // component-id order.
+      // Contestants: the nets whose routes hold the cell, best candidate
+      // winner first.
       const Vec3 cell = fabric_.cell_at(idx);
       std::vector<int> users;
       for (int c = 0; c < components; ++c)
         for (const Vec3& q : result.nets[static_cast<std::size_t>(c)].cells)
           if (q == cell) users.push_back(c);
       if (users.size() < 2) continue;
-      std::sort(users.begin(), users.end(), [&](int a, int b) {
-        return nodes_.net_pins[static_cast<std::size_t>(a)].size() >
-               nodes_.net_pins[static_cast<std::size_t>(b)].size();
-      });
+      std::sort(users.begin(), users.end(),
+                [&](int a, int b) { return routes_before(a, b); });
       // Award the cell to one user and reroute the rest with the cell
       // removed from the fabric. If a loser genuinely needs the cell (it
       // is the only access to one of its pins), restore everything and try
@@ -654,7 +621,6 @@ RoutingResult Router::run() {
     result.connects += s.connects;
     result.window_hits += s.window_hits;
     result.window_misses += s.window_misses;
-    if (s.lookahead_connects > 0) ++result.lookahead_nets;
   }
   export_memory(result, components);
   result.bounding = placement_.core;
@@ -703,7 +669,6 @@ void publish_counters(const RoutingResult& result) {
   trace::counter_add("route.repair_failed", result.repair_failed);
   trace::counter_add("route.batches", result.batches);
   trace::counter_add("route.conflicts_requeued", result.conflicts_requeued);
-  trace::counter_add("route.lookahead_nets", result.lookahead_nets);
   trace::counter_add("route.window_hits", result.window_hits);
   trace::counter_add("route.window_misses", result.window_misses);
 }

@@ -149,12 +149,9 @@ struct RoutingResult {
   /// upper bound on the speedup any worker count can realize.
   double parallel_efficiency = 0;
 
-  // Lookahead / warm-window observability. Like the stats above, all of
-  // these are summed per component in deterministic component order, so
-  // they are identical for any --route-threads value.
-  /// Components whose searches used the obstacle-aware lookahead at least
-  /// once.
-  int lookahead_nets = 0;
+  // Warm-window observability. Like the stats above, these are summed per
+  // component in deterministic component order, so they are identical for
+  // any --route-threads value.
   /// Warm-window connect attempts that succeeded within the previous
   /// route's bounding box vs. fell through to the classic margin ladder.
   std::int64_t window_hits = 0;
@@ -185,7 +182,10 @@ struct RoutingResult {
   std::string congestion_heatmap;
 };
 
-/// Route all merged dual-net components of a placed design.
+/// Route all merged dual-net components of a placed design. Throws
+/// TqecError when negotiation cannot connect some net even by an
+/// unrestricted search (a pin walled off from the rest of its net): an
+/// unconnectable net is an error, never a partial result.
 RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,
                          const RouteOptions& options);

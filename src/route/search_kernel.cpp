@@ -125,112 +125,6 @@ void BucketQueue::rebase() {
   overflow_.resize(kept);
 }
 
-ReachMap build_reach_map(const Fabric& fabric) {
-  ReachMap reach;
-  const std::size_t n = fabric.cell_count();
-  reach.label.assign(n, -1);
-  // Flood each unlabeled free cell's component. The edge mask already
-  // encodes "neighbour is inside, unblocked, and not a module" — exactly
-  // build-time free passability, since no repair block exists yet.
-  std::vector<std::uint32_t> queue;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (reach.label[i] >= 0 || fabric.blocked(i) || fabric.is_module(i))
-      continue;
-    const std::int32_t l = reach.labels++;
-    reach.label[i] = l;
-    queue.clear();
-    queue.push_back(static_cast<std::uint32_t>(i));
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::size_t ci = queue[head];
-      const std::uint8_t mask = fabric.edge_mask(ci);
-      for (int dir = 0; dir < 6; ++dir) {
-        if (!(mask & (1u << dir))) continue;
-        const std::size_t qi = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(ci) + fabric.stride(dir));
-        if (reach.label[qi] >= 0) continue;
-        reach.label[qi] = l;
-        queue.push_back(static_cast<std::uint32_t>(qi));
-      }
-    }
-  }
-  return reach;
-}
-
-LookaheadMap build_lookahead(const Fabric& fabric, const ReachMap& reach,
-                             const place::NodeSet& nodes,
-                             const place::Placement& placement,
-                             int component) {
-  LookaheadMap map;
-  map.label_reachable.assign(static_cast<std::size_t>(reach.labels), 0);
-  const auto& pins = nodes.net_pins[static_cast<std::size_t>(component)];
-  if (pins.empty()) return map;
-
-  // Candidate bridge cells: the component's unblocked own pin cells (a
-  // blocked pin gets no own-pin overlay in route_one_net either, so
-  // searches can never step onto it). Precompute each pin's face-adjacent
-  // labels and own-pin neighbours once.
-  std::vector<std::size_t> own;
-  for (pdgraph::ModuleId m : pins) {
-    const std::size_t pi = fabric.index(
-        placement.module_cell[static_cast<std::size_t>(m)]);
-    if (!fabric.blocked(pi)) own.push_back(pi);
-  }
-  std::sort(own.begin(), own.end());
-
-  // Closure from the tree seed (route_one_net seeds the tree at the first
-  // pin) over the bipartite label/pin graph: a label is entered only
-  // through an adjacent own pin, a pin only from an adjacent label or an
-  // adjacent pin (the own-pin overlay admits both).
-  const std::size_t seed = fabric.index(
-      placement.module_cell[static_cast<std::size_t>(pins.front())]);
-  std::vector<std::uint8_t> pin_reached(own.size(), 0);
-  std::vector<std::size_t> stack;  // own-pin positions to expand
-  const auto push_pin = [&](std::size_t pi) {
-    const auto it = std::lower_bound(own.begin(), own.end(), pi);
-    if (it == own.end() || *it != pi) return;
-    const std::size_t k = static_cast<std::size_t>(it - own.begin());
-    if (pin_reached[k]) return;
-    pin_reached[k] = 1;
-    stack.push_back(k);
-  };
-  push_pin(seed);  // a blocked seed reaches nothing: every connect is doomed
-  while (!stack.empty()) {
-    const std::size_t pi = own[stack.back()];
-    stack.pop_back();
-    for (int dir = 0; dir < 6; ++dir) {
-      const Vec3 q =
-          fabric.cell_at(pi) + kNeighbours[static_cast<std::size_t>(dir)];
-      if (!fabric.inside(q)) continue;
-      const std::size_t qi = fabric.index(q);
-      const std::int32_t l = reach.label[qi];
-      if (l < 0) {
-        push_pin(qi);  // an adjacent own pin (other modules won't match)
-        continue;
-      }
-      if (map.label_reachable[static_cast<std::size_t>(l)]) continue;
-      map.label_reachable[static_cast<std::size_t>(l)] = 1;
-      // Entering a new label unlocks every own pin it touches.
-      for (std::size_t k = 0; k < own.size(); ++k) {
-        if (pin_reached[k]) continue;
-        const std::uint8_t mask = fabric.edge_mask(own[k]);
-        for (int d = 0; d < 6; ++d) {
-          if (!(mask & (1u << d))) continue;
-          const std::size_t ni = static_cast<std::size_t>(
-              static_cast<std::ptrdiff_t>(own[k]) + fabric.stride(d));
-          if (reach.label[ni] == l) {
-            pin_reached[k] = 1;
-            stack.push_back(k);
-            break;
-          }
-        }
-      }
-    }
-  }
-  for (std::size_t k = 0; k < own.size(); ++k)
-    if (pin_reached[k]) map.own.push_back(own[k]);
-  return map;
-}
-
 namespace {
 
 /// Admissible (and consistent) heuristic: Manhattan distance to the tree
@@ -264,26 +158,12 @@ std::uint8_t region_bits(Vec3 p, const Box3& region) {
 /// cell (every queued cell lies inside the region, so a step leaves it
 /// only across one face). Set bits are walked in increasing direction, and
 /// a neighbour's entry cost is one read of the fabric's cost plane. The
-/// bucket queue pops the integer-keyed lower bound of f, ties LIFO. The
-/// lookahead (when `ctx` carries one) is consulted once per connect, for
-/// the source cell.
+/// bucket queue pops the integer-keyed lower bound of f, ties LIFO.
 bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
-             const Box3& region, Box3& tree_box, const NetContext& ctx,
-             SearchStats& stats) {
+             const Box3& region, Box3& tree_box, SearchStats& stats) {
   ++stats.connects;
   const std::size_t source_idx = fabric.index(source);
   if (scratch.on_tree(source_idx)) return true;
-
-  if (ctx.lookahead != nullptr) {
-    ++stats.lookahead_connects;
-    // A source outside the seed's closure cannot reach the tree in ANY
-    // region (the closure is global). Failing here skips the region-
-    // exhausting flood a doomed classic search would run at every rung of
-    // its ladder. A source inside the closure can never expand a cell
-    // outside it (free runs are entered through own pins, all in the
-    // closure), so this one lookup is the lookahead's entire runtime cost.
-    if (!ctx.lookahead->reachable(*ctx.reach, source_idx)) return false;
-  }
 
   TQEC_ASSERT(region.contains(source), "search source outside its region");
   BucketQueue& open = scratch.open;
@@ -370,8 +250,7 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   const NetContext& ctx, RoutedNet& out,
-                   SearchStats& stats) {
+                   const Box3& window, RoutedNet& out, SearchStats& stats) {
   const auto& pins = nodes.net_pins[static_cast<std::size_t>(component)];
   out.component = component;
   out.cells.clear();
@@ -431,16 +310,16 @@ bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
   Box3 tree_box{entries[0].cell, entries[0].cell};
 
   auto connect_once = [&](Vec3 target, const Box3& region) {
-    return connect(fabric, scratch, target, region, tree_box, ctx, stats);
+    return connect(fabric, scratch, target, region, tree_box, stats);
   };
   auto connect_with_retries = [&](Vec3 target) {
     if (scratch.on_tree(fabric.index(target))) return true;
-    if (!ctx.window.empty()) {
+    if (!window.empty()) {
       // Warm attempt: the previous successful route's bounding box (plus
       // whatever the tree already grew to) is usually where the new route
       // fits too; fall through to the classic ladder when it does not.
       const Box3 region =
-          tree_box.expanded(target).merged(ctx.window).inflated(1);
+          tree_box.expanded(target).merged(window).inflated(1);
       if (connect_once(target, region)) {
         ++stats.window_hits;
         return true;

@@ -194,57 +194,6 @@ class Fabric {
   std::array<std::ptrdiff_t, 6> strides_{};
 };
 
-/// Global obstacle-aware reachability labeling: every cell that is free at
-/// build time (unblocked, no module) gets the id of its 6-connected
-/// free-space component; module and box cells get -1. One O(fabric) BFS
-/// shared by every net — the per-component lookahead below reduces to a
-/// label-set membership test, so the whole lookahead layer costs
-/// milliseconds instead of a per-component window BFS.
-struct ReachMap {
-  std::vector<std::int32_t> label;  // per fabric cell, -1 = not free
-  std::int32_t labels = 0;
-};
-
-/// Label the fabric's build-time free space. Reads only build-time state
-/// (obstacles and module cells, never usage/history); must run before any
-/// repair hard block is placed.
-ReachMap build_reach_map(const Fabric& fabric);
-
-/// Per-component lookahead: the cells connected to the component's tree
-/// seed (its first pin) in the build-time passable graph — free cells plus
-/// the component's own pin cells, which bridge free-space pockets. Because
-/// free-space labels are maximal, the connected set is a closure over a
-/// tiny bipartite graph of labels and own pins (a label is entered only
-/// through an own pin, a pin only from an adjacent label or pin), so it is
-/// computed in O(pins) and queried in O(1): a search source outside the
-/// closure provably cannot reach the tree in ANY region, so its connect —
-/// the whole region-exhausting flood plus ladder escalation a doomed
-/// classic search would run — collapses to one lookup. A source inside
-/// the closure can, by the same maximality argument, never expand a cell
-/// outside it, so no per-cell pruning is needed (or possible): the live
-/// search is untouched and routes are bit-identical to a search without
-/// the lookahead (DESIGN.md §Routing gives the argument).
-struct LookaheadMap {
-  std::vector<std::uint8_t> label_reachable;  // indexed by ReachMap label
-  /// Sorted fabric indices of the own pin cells inside the closure.
-  std::vector<std::size_t> own;
-
-  /// True when a search for this component starting at fabric cell `fi`
-  /// (free cell or own pin cell) could ever reach the tree.
-  bool reachable(const ReachMap& reach, std::size_t fi) const {
-    const std::int32_t l = reach.label[fi];
-    if (l >= 0) return label_reachable[static_cast<std::size_t>(l)] != 0;
-    return std::binary_search(own.begin(), own.end(), fi);
-  }
-};
-
-/// Build a component's lookahead from the shared reach map: O(pins), reads
-/// only build-time fabric state, so per-component builds can run
-/// concurrently.
-LookaheadMap build_lookahead(const Fabric& fabric, const ReachMap& reach,
-                             const place::NodeSet& nodes,
-                             const place::Placement& placement, int component);
-
 /// Monotone bucket (Dial) queue: entries are keyed on the integer lower
 /// bound of their f-value, popped lowest-bucket-first, LIFO within a
 /// bucket (deterministic, and ties broken toward larger g reach the goal
@@ -339,8 +288,6 @@ struct SearchStats {
   /// connect() calls: one per restricted A* search (ladder rungs and warm
   /// attempts count separately).
   std::int64_t connects = 0;
-  /// connect() calls that used the obstacle-aware lookahead term.
-  std::int64_t lookahead_connects = 0;
   /// Warm-window first attempts that succeeded / fell through to the
   /// classic margin ladder.
   std::int64_t window_hits = 0;
@@ -350,7 +297,6 @@ struct SearchStats {
     queue_pushes += o.queue_pushes;
     queue_pops += o.queue_pops;
     connects += o.connects;
-    lookahead_connects += o.lookahead_connects;
     window_hits += o.window_hits;
     window_misses += o.window_misses;
     return *this;
@@ -445,29 +391,19 @@ struct SearchScratch {
   }
 };
 
-/// Per-component routing context handed to route_one_net by the
-/// negotiation loop: the lookahead — shared reach map plus the component's
-/// closure, both set or both null (no lookahead) — and the warm search
-/// window for the first connect attempt (empty box = cold, ladder only).
-struct NetContext {
-  const ReachMap* reach = nullptr;
-  const LookaheadMap* lookahead = nullptr;
-  Box3 window;
-};
-
 /// Route one merged net component as a Steiner tree over the fabric
 /// snapshot: pins join the partially built tree one at a time by A* within
-/// a restricted region — the warm window from `ctx` first (when set), then
-/// the classic failure-inflated margin ladder. Pure function of
-/// (fabric, nodes, placement, options, component, ctx) — the fabric,
-/// whose cost plane carries the history and present costs, is only read. Returns false when some pin could not be
-/// connected even by an unrestricted search; `out.cells` then holds the
-/// partial tree. Queue traffic is accumulated into `stats`.
+/// a restricted region — the warm `window` first (when non-empty; an empty
+/// box is a cold search), then the classic failure-inflated margin ladder.
+/// Pure function of (fabric, nodes, placement, options, component,
+/// window) — the fabric, whose cost plane carries the history and present
+/// costs, is only read. Returns false when some pin could not be connected
+/// even by an unrestricted search; `out.cells` then holds the partial
+/// tree. Queue traffic is accumulated into `stats`.
 bool route_one_net(const Fabric& fabric, SearchScratch& scratch,
                    const place::NodeSet& nodes,
                    const place::Placement& placement,
                    const RouteOptions& options, int component,
-                   const NetContext& ctx, RoutedNet& out,
-                   SearchStats& stats);
+                   const Box3& window, RoutedNet& out, SearchStats& stats);
 
 }  // namespace tqec::route

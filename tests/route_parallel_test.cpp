@@ -117,12 +117,12 @@ void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.full_sweeps, b.full_sweeps);
   EXPECT_EQ(a.queue_pushes, b.queue_pushes);
   EXPECT_EQ(a.queue_pops, b.queue_pops);
+  EXPECT_EQ(a.connects, b.connects);
   EXPECT_EQ(a.repair_awarded, b.repair_awarded);
   EXPECT_EQ(a.repair_failed, b.repair_failed);
   EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.conflicts_requeued, b.conflicts_requeued);
   EXPECT_EQ(a.parallel_efficiency, b.parallel_efficiency);
-  EXPECT_EQ(a.lookahead_nets, b.lookahead_nets);
   EXPECT_EQ(a.window_hits, b.window_hits);
   EXPECT_EQ(a.window_misses, b.window_misses);
   EXPECT_EQ(a.warm_started, b.warm_started);
@@ -248,7 +248,6 @@ TEST(RouteParallelTest, StatsIdenticalBetweenOneAndFourThreads) {
   expect_identical(one, four);
   EXPECT_GT(one.queue_pushes, 0);
   EXPECT_GT(one.batches, 0);
-  EXPECT_GT(one.lookahead_nets, 0);
 }
 
 // The batched schedule must actually expose spatial parallelism on a
@@ -289,43 +288,36 @@ GridFixture pocket_fixture() {
   return f;
 }
 
-// Kernel-level check on the doomed connect (the full router requires
-// connectable nets, so this exercises route_one_net directly): the
-// seed-closure lookahead must fail the connect with one reachability
-// lookup instead of flooding the whole free region — strictly fewer
-// queue pushes, the identical (partial) tree, and the same verdict.
-TEST(RouteParallelTest, LookaheadFailsDoomedConnectWithoutFlooding) {
+// The router's contract: a net it cannot connect is an error, never a
+// result. The pocketed pin is unreachable however congestion is priced,
+// so the first iteration's commit raises, at any worker count.
+TEST(RouteParallelTest, UnconnectableNetRaises) {
+  const GridFixture f = pocket_fixture();
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_THROW(route_nets(f.nodes, f.placement,
+                            options_with(threads, /*margin=*/0)),
+                 TqecError);
+  }
+}
+
+// Kernel-level check on the same doomed connect: route_one_net floods the
+// free region around the open pin, at every rung of its ladder, then
+// reports failure with the partial tree it built — the pocketed seed
+// alone.
+TEST(RouteParallelTest, DoomedConnectReturnsSeedAsPartialTree) {
   const GridFixture f = pocket_fixture();
   const Fabric fabric(f.nodes, f.placement, /*margin=*/0);
-  const ReachMap reach = build_reach_map(fabric);
-  const LookaheadMap map =
-      build_lookahead(fabric, reach, f.nodes, f.placement, /*component=*/0);
   SearchScratch scratch;
-  scratch.ensure(fabric.cell_count());
   RouteOptions opt;
   opt.margin = 0;
-
-  NetContext cold;  // no lookahead maps: the classic flood-and-fail
-  RoutedNet out_off;
-  SearchStats stats_off;
+  RoutedNet out;
+  SearchStats stats;
   EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             cold, out_off, stats_off));
-  EXPECT_GT(stats_off.queue_pushes, 0);
-
-  NetContext warm;
-  warm.reach = &reach;
-  warm.lookahead = &map;
-  RoutedNet out_on;
-  SearchStats stats_on;
-  EXPECT_FALSE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
-                             warm, out_on, stats_on));
-
-  EXPECT_GT(stats_on.lookahead_connects, 0);
-  // The open pin is outside the pocketed seed's closure, so the lookahead
-  // rejects the connect before a single push.
-  EXPECT_LT(stats_on.queue_pushes, stats_off.queue_pushes);
-  // Identical partial tree (the pocketed seed) either way.
-  EXPECT_EQ(out_on.cells, out_off.cells);
+                             Box3{}, out, stats));
+  EXPECT_EQ(out.component, 0);
+  EXPECT_EQ(out.cells, std::vector<Vec3>{f.placement.module_cell[0]});
+  EXPECT_GT(stats.queue_pushes, 0);
 }
 
 // Warm-start negotiation (core::compile's restart chaining): a cold run

@@ -810,7 +810,7 @@ TEST(SearchScratchTest, EpochWrapKeepsResults) {
   f.nodes.access_offsets.push_back({});
   const Fabric fabric(f.nodes, f.placement, /*margin=*/2);
   RouteOptions opt;
-  const NetContext cold;
+  const Box3 cold;  // no warm window
 
   SearchScratch fresh;
   RoutedNet want;

@@ -249,6 +249,27 @@ class CheckpointTest : public ::testing::Test {
     return files;
   }
 
+  /// Rewrite a record in place: `edit` sees each non-blank line's tokens
+  /// and returns whether it changed them. Returns the lines changed.
+  template <typename Edit>
+  static int rewrite_record(const fs::path& file, Edit edit) {
+    std::ifstream in(file);
+    std::string record, line;
+    int edited = 0;
+    while (std::getline(in, line)) {
+      std::vector<std::string> tokens = split_ws(line);
+      if (!tokens.empty() && edit(tokens)) {
+        line = tokens[0];
+        for (std::size_t i = 1; i < tokens.size(); ++i) line += " " + tokens[i];
+        ++edited;
+      }
+      record += line + "\n";
+    }
+    in.close();
+    std::ofstream(file, std::ios::trunc) << record;
+    return edited;
+  }
+
   fs::path dir_;
 };
 
@@ -351,31 +372,47 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
       {"attempt", 5, "inf"},
       {"counts", 1, "2147483648"},
   };
-  for (const auto& poison : poisons) {
-    SCOPED_TRACE(poison.keyword);
-    std::ifstream in(files[0]);
-    std::string record, line;
-    bool replaced = false;
-    while (std::getline(in, line)) {
-      std::vector<std::string> tokens = split_ws(line);
-      if (!tokens.empty() && tokens[0] == poison.keyword) {
-        ASSERT_GT(tokens.size(), poison.token);
-        tokens[poison.token] = poison.value;
-        line = tokens[0];
-        for (std::size_t i = 1; i < tokens.size(); ++i) line += " " + tokens[i];
-        replaced = true;
-      }
-      record += line + "\n";
-    }
-    in.close();
-    ASSERT_TRUE(replaced);
-    std::ofstream(files[0], std::ios::trunc) << record;
+  const auto expect_one_recompiled = [&] {
     const core::CompileResult again =
         core::compile_sharded(circuit, opt, shard);
     EXPECT_TRUE(again.routed_legal);
     EXPECT_EQ(again.shard.windows_resumed, fresh.shard.windows_total - 1);
     EXPECT_EQ(geom::to_json(again.geometry), geom::to_json(fresh.geometry));
+  };
+  for (const auto& poison : poisons) {
+    SCOPED_TRACE(poison.keyword);
+    ASSERT_EQ(rewrite_record(files[0],
+                             [&](std::vector<std::string>& t) {
+                               if (t[0] != poison.keyword ||
+                                   t.size() <= poison.token)
+                                 return false;
+                               t[poison.token] = poison.value;
+                               return true;
+                             }),
+              1);
+    expect_one_recompiled();
   }
+
+  // A well-formed record of the previous format version: a `tqecck 2`
+  // header and one more attempt token (version 2 carried a routing counter
+  // between route_parallel_efficiency and route_window_hits, the last
+  // three fields). It must fail soft and be rewritten at version 3.
+  ASSERT_EQ(rewrite_record(files[0],
+                           [](std::vector<std::string>& t) {
+                             if (t[0] == "tqecck" && t.size() == 2)
+                               t[1] = "2";
+                             else if (t[0] == "attempt" && t.size() > 4)
+                               t.insert(t.end() - 3, "0");
+                             else
+                               return false;
+                             return true;
+                           }),
+            2);
+  expect_one_recompiled();
+  std::ifstream rewritten(files[0]);
+  std::string header;
+  std::getline(rewritten, header);
+  EXPECT_EQ(header, "tqecck 3");
 }
 
 TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {

@@ -197,11 +197,10 @@ void render_route(const Value& stats) {
                 "to --route-threads)\n",
                 num_or(*route, "parallel_efficiency", 0));
   }
-  if (route->find("lookahead_nets") != nullptr) {
+  if (route->find("window_hits") != nullptr) {
     std::printf("\n  search acceleration (selected attempt)\n");
     const Value* warm = route->find("warm_started");
-    std::printf("    lookahead-mapped nets %-10.0f warm-started %s\n",
-                num_or(*route, "lookahead_nets", 0),
+    std::printf("    warm-started %s\n",
                 warm != nullptr && warm->is_bool() && warm->boolean ? "yes"
                                                                     : "no");
     const double hits = num_or(*route, "window_hits", 0);
