@@ -308,6 +308,8 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     route::RouteOptions route_opt = options.route;
     route_opt.seed = seed;
     if (route_opt.threads == 0) route_opt.threads = threads;
+    // Only y-gap 0 has a fallback level, so only it may give up early.
+    route_opt.abandon_doomed = y_gap == 0;
     lv.routing = route::route_nets(nodes, lv.placement, route_opt,
                                    warm_chain ? &warm_in : nullptr,
                                    warm_chain ? &lv.memory : nullptr, stop);
@@ -398,9 +400,18 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     if (errors[0]) std::rethrow_exception(errors[0]);
     if (!levels[0].routing.legal) {
       if (options.cancel.cancelled()) return;  // y-gap 1 may be stopped
-      TQEC_LOG_INFO("attempt " << k
-                               << ": routing illegal at y-gap 0; keeping "
-                                  "the y-gap 1 whitespace level");
+      const route::RoutingResult& r0 = levels[0].routing;
+      if (r0.abandoned) {
+        TQEC_LOG_INFO("attempt " << k << ": y-gap 0 abandoned at iteration "
+                                 << r0.iterations << " with "
+                                 << r0.overused_cells
+                                 << " overused cells; keeping the y-gap 1 "
+                                    "whitespace level");
+      } else {
+        TQEC_LOG_INFO("attempt " << k
+                                 << ": routing illegal at y-gap 0; keeping "
+                                    "the y-gap 1 whitespace level");
+      }
       if (errors[1]) std::rethrow_exception(errors[1]);
     }
     keep(levels[0].routing.legal ? 0 : 1);

@@ -3,6 +3,7 @@
 // preservation through routing, determinism, and mode comparisons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <string_view>
@@ -428,6 +429,13 @@ TEST(CompileTest, SpeculativeEscalationMatchesInOrderStats) {
               spec.timings.attempts[0].route_reroutes_per_iter);
     EXPECT_FALSE(seq.metrics.counters.empty());
     EXPECT_EQ(seq.metrics.counters, spec.metrics.counters);
+    // rd84_142's y-gap 0 level is doomed and abandoned; 4gt10-v1_81's
+    // routes legally, so it never trips the doom test.
+    const auto abandoned = std::find_if(
+        seq.metrics.counters.begin(), seq.metrics.counters.end(),
+        [](const auto& c) { return c.first == "route.abandoned_levels"; });
+    ASSERT_NE(abandoned, seq.metrics.counters.end());
+    EXPECT_EQ(abandoned->second, y_gap);
     // Moves/sec divides by the kept level's own place time, which after an
     // escalation is less than the attempt's summed place_s.
     for (const CompileResult* r : {&seq, &spec}) {
