@@ -7,12 +7,7 @@
 //   RouteThreads/N                   batched schedule at N worker threads
 //                                    (the CI bench-smoke sweep; wall-clock
 //                                    gains need real cores, results are
-//                                    bit-identical regardless);
-//   RouteWarmStart/{cold,warm}       cold negotiation vs one warmed by the
-//                                    NegotiationMemory a prior run of the
-//                                    same problem exported (the
-//                                    core::compile restart chain), warm
-//                                    windows included.
+//                                    bit-identical regardless).
 //
 // All variants route the same placements: mid-size SA workloads placed
 // once per scale outside the timed region, so the numbers are pure
@@ -93,31 +88,6 @@ void BM_RouteThreads(benchmark::State& state) {
   run_route(state, opt);
 }
 
-void BM_RouteWarmStart(benchmark::State& state) {
-  const RoutingProblem& p = problem();
-  route::RouteOptions opt;
-  opt.threads = 1;
-  // The memory a cold run of the identical problem exports — computed
-  // outside the timed region, exactly what core::compile chains between
-  // restart attempts.
-  route::NegotiationMemory memory;
-  route::route_nets(p.nodes, p.placement, opt, nullptr, &memory);
-  const bool warm = state.range(0) != 0;
-  route::RoutingResult last;
-  for (auto _ : state) {
-    last = route::route_nets(p.nodes, p.placement, opt,
-                             warm ? &memory : nullptr, nullptr);
-    benchmark::DoNotOptimize(last.total_wire);
-  }
-  state.counters["legal"] = last.legal ? 1 : 0;
-  state.counters["wire"] = static_cast<double>(last.total_wire);
-  state.counters["queue_pushes"] = static_cast<double>(last.queue_pushes);
-  state.counters["iterations"] = static_cast<double>(last.iterations);
-  state.counters["window_hits"] = static_cast<double>(last.window_hits);
-  state.counters["window_misses"] =
-      static_cast<double>(last.window_misses);
-}
-
 }  // namespace
 
 BENCHMARK(BM_RouteKernel)->Unit(benchmark::kMillisecond);
@@ -126,11 +96,6 @@ BENCHMARK(BM_RouteThreads)
     ->Arg(2)
     ->Arg(4)
     ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteWarmStart)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"warm"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -3,10 +3,8 @@
 // (window:8, sequential), plus a threaded row. Counters expose the shard
 // observability record (windows, crossings, seam cells) and the compile's
 // peak-RSS gauge so CI artifacts carry the memory story next to the
-// timing. The timing-gate ratio sharded_over_unsharded (see
-// bench/shard_timing_baseline.json) bounds the sharding overhead —
-// window recompiles plus seam stitching — relative to the plain pipeline
-// on the same machine.
+// timing. golden_test pins the sharded compile's exact work (volume,
+// windows, crossings, seam cells, queue pops).
 //
 // Observability hooks (shared naming with bench/harness.h):
 //   REPRO_STATS=1          after each benchmark, print the last run's

@@ -259,22 +259,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   std::vector<Attempt> outcomes(attempts);
   t = std::chrono::steady_clock::now();
   trace::Span place_route_span("pipeline.place_route");
-  // Warm-start chaining (--route-warm-start): the NegotiationMemory
-  // exported by each attempt's final routing seeds the NEXT attempt's
-  // first routing with decayed history and remembered windows, so later
-  // attempts skip part of the negotiation-convergence price. Each attempt
-  // snapshots the incoming memory once: its internal y-gap escalation
-  // re-consumes that same snapshot rather than its own y-gap-0 export, so
-  // every attempt in isolation routes exactly as it would without
-  // chaining. Chaining imposes a sequential attempt order (each attempt
-  // then gets the whole jobs budget for its internal parallelism); the
-  // order is a fixed function of the attempt index, so results stay
-  // bit-identical for any jobs value. Attempt 0 consumes an invalid
-  // (empty) memory, preserving single-attempt == attempt-0 equivalence —
-  // and making the default place_restarts=1 pipeline bit-identical to
-  // --route-warm-start=0.
-  const bool warm_chain = options.route.warm_start;
-  route::NegotiationMemory chained_memory;
 
   // One whitespace escalation level of an attempt: place with `y_gap`
   // free planes between layers, then route, on `threads` workers (an
@@ -285,12 +269,10 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   struct Level {
     place::Placement placement;
     route::RoutingResult routing;
-    route::NegotiationMemory memory;  // routing export when chaining
     double place_s = 0;
     double route_s = 0;
   };
   const auto run_level = [&](std::uint64_t seed, int y_gap, int threads,
-                             const route::NegotiationMemory& warm_in,
                              const CancelToken* stop) {
     TQEC_TRACE_SPAN("place_route.level", "y-gap " + std::to_string(y_gap));
     Level lv;
@@ -310,9 +292,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     if (route_opt.threads == 0) route_opt.threads = threads;
     // Only y-gap 0 has a fallback level, so only it may give up early.
     route_opt.abandon_doomed = y_gap == 0;
-    lv.routing = route::route_nets(nodes, lv.placement, route_opt,
-                                   warm_chain ? &warm_in : nullptr,
-                                   warm_chain ? &lv.memory : nullptr, stop);
+    lv.routing = route::route_nets(nodes, lv.placement, route_opt, stop);
     lv.route_s = seconds_since(t_stage);
     return lv;
   };
@@ -321,19 +301,14 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     TQEC_TRACE_SPAN("place_route.attempt", "attempt " + std::to_string(k));
     Attempt& a = outcomes[k];
     a.stats.seed = seeds[k];
-    const route::NegotiationMemory attempt_in = chained_memory;
-    // The attempt's share of the jobs budget: concurrent attempts split
-    // it; under warm-start chaining attempts run one at a time, so each
-    // gets all of it.
-    const int thread_split = std::max(
+    // The attempt's share of the jobs budget: concurrent attempts split it.
+    const int budget = std::max(
         1, jobs / static_cast<int>(
                       std::min(attempts, static_cast<std::size_t>(jobs))));
-    const int budget = warm_chain ? jobs : thread_split;
     std::array<Level, 2> levels;
     // Levels 0..kept count as run, in escalation order: their times add up
     // in the attempt's place_s / route_s and their work in the trace
-    // counters. The kept level supplies every other attempt stat and, when
-    // chaining, the memory handed to the next attempt.
+    // counters. The kept level supplies every other attempt stat.
     const auto keep = [&](int kept) {
       for (int y = 0; y <= kept; ++y) {
         const Level& lv = levels[static_cast<std::size_t>(y)];
@@ -345,7 +320,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
       Level& lv = levels[static_cast<std::size_t>(kept)];
       a.placement = std::move(lv.placement);
       a.routing = std::move(lv.routing);
-      if (warm_chain) chained_memory = std::move(lv.memory);
       a.stats.y_gap = kept;
       // Fields copied from the kept level's placement and routing (the
       // `from` column of TQEC_ATTEMPT_FIELDS); the `loop` fields are set
@@ -373,9 +347,9 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     // winner ever escapes.
     if (options.cancel.cancelled()) return;
     // Escalation: y-gap 1 runs on the budget's second thread alongside
-    // y-gap 0 (jobs=2: 1 + 1), or after it on a budget of 1. Both read the
-    // same incoming memory snapshot, so each routes exactly as it would in
-    // order, and the kept level is y-gap 0 if legal, else y-gap 1. A legal
+    // y-gap 0 (jobs=2: 1 + 1), or after it on a budget of 1. The levels
+    // share no state, so each routes exactly as it would in order, and the
+    // kept level is y-gap 0 if legal, else y-gap 1. A legal
     // (or throwing, or cancelled) y-gap 0 stops y-gap 1 — or keeps it from
     // starting — and its result is then dropped unseen.
     CancelToken stop_speculative;
@@ -383,14 +357,13 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     parallel_for(2, budget, [&](std::size_t y) {
       try {
         if (y == 0) {
-          levels[0] =
-              run_level(seeds[k], 0, budget - budget / 2, attempt_in, nullptr);
+          levels[0] = run_level(seeds[k], 0, budget - budget / 2, nullptr);
           if (levels[0].routing.legal || options.cancel.cancelled())
             stop_speculative.cancel();
         } else {
           if (stop_speculative.cancelled()) return;
           levels[1] = run_level(seeds[k], 1, std::max(1, budget / 2),
-                                attempt_in, &stop_speculative);
+                                &stop_speculative);
         }
       } catch (...) {
         errors[y] = std::current_exception();
@@ -416,11 +389,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     }
     keep(levels[0].routing.legal ? 0 : 1);
   };
-  if (warm_chain) {
-    for (std::size_t k = 0; k < attempts; ++k) run_attempt(k);
-  } else {
-    parallel_for(attempts, jobs, run_attempt);
-  }
+  parallel_for(attempts, jobs, run_attempt);
   place_route_span.end();
   result.timings.place_route_wall_s = seconds_since(t);
   // Deliver a mid-place/route cancellation (workers returned early above)
@@ -620,7 +589,6 @@ void write_stats_json(json::Writer& w, const CompileResult& result) {
   w.field("parallel_efficiency", routing.parallel_efficiency);
   w.field("window_hits", routing.window_hits);
   w.field("window_misses", routing.window_misses);
-  w.field("warm_started", routing.warm_started);
   w.key("overused_per_iter").array(routing.overused_per_iter);
   w.key("congestion_histogram").array(routing.congestion_histogram);
   w.key("hottest_cells").begin_array();

@@ -148,11 +148,9 @@ struct CompileOptions {
   X(int, route_batches, 0, routing, batches)                                 \
   X(int, route_conflicts_requeued, 0, routing, conflicts_requeued)           \
   X(double, route_parallel_efficiency, 0, routing, parallel_efficiency)      \
-  /* Warm-window first hits vs. ladder fallbacks, and whether the */         \
-  /* attempt consumed the previous NegotiationMemory (--route-warm-start) */ \
+  /* Warm-window first hits vs. ladder fallbacks */                         \
   X(std::int64_t, route_window_hits, 0, routing, window_hits)                \
-  X(std::int64_t, route_window_misses, 0, routing, window_misses)            \
-  X(bool, route_warm_started, false, routing, warm_started)
+  X(std::int64_t, route_window_misses, 0, routing, window_misses)
 
 /// Time-series of one attempt, with the same source columns: nets rerouted
 /// and overused cells per PathFinder iteration, the SA convergence curve

@@ -67,8 +67,9 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|attempts=" << o.place_restarts;
   const place::PlaceOptions& p = o.place;
   // Removed fields print the values they always had (automatic layers and
-  // iterations, volume weight 1, HPWL wire model) and fields that became
-  // constants print those, so existing checkpoint names still resume.
+  // iterations, volume weight 1, HPWL wire model, warm-start chaining on)
+  // and fields that became constants print those, so existing checkpoint
+  // names still resume.
   os << "|p.layers=0|p.alpha=1|p.beta=" << place::kBetaWire
      << "|p.wire=0|p.iters=0|p.effort=" << p.effort
      << "|p.t0=" << place::kT0Fraction << "|p.cool=" << place::kCooling
@@ -80,7 +81,7 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|r.hist=" << route::kHistoryIncrement
      << "|r.pbase=" << route::kPresentBase
      << "|r.pgrow=" << r.present_growth << "|r.pmax=" << route::kPresentMax
-     << "|r.region=" << r.region_margin << "|r.warm=" << r.warm_start;
+     << "|r.region=" << r.region_margin << "|r.warm=1";
   os << "|shard.window=" << shard.window << "|shard.gap=" << shard.seam_gap;
   return os.str();
 }
@@ -114,7 +115,7 @@ void write_vec3(std::ostream& out, Vec3 v) {
 /// Record format version, written in the `tqecck` header line. Bump it
 /// whenever a field list the record writes changes: a record of another
 /// version fails soft (its window recompiles) instead of misreading.
-constexpr std::string_view kCheckpointVersion = "3";
+constexpr std::string_view kCheckpointVersion = "4";
 
 // The `counts`, `timings` and `attempt` lines hold every field of their
 // list, in list order (bools as 0/1, doubles at 17 significant digits, so

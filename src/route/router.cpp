@@ -46,12 +46,10 @@ constexpr int kStallSweeps = 2;
 class Router {
  public:
   Router(const place::NodeSet& nodes, const place::Placement& placement,
-         const RouteOptions& opt, const NegotiationMemory* warm,
-         NegotiationMemory* memory_out, const CancelToken* stop)
+         const RouteOptions& opt, const CancelToken* stop)
       : nodes_(nodes), placement_(placement), opt_(opt),
         fabric_(nodes, placement, opt.margin),
-        threads_(std::max(1, opt.threads)), warm_(warm),
-        memory_out_(memory_out), stop_(stop) {}
+        threads_(std::max(1, opt.threads)), stop_(stop) {}
 
   RoutingResult run();
 
@@ -111,31 +109,24 @@ class Router {
     return pin_box(component).inflated(2 * opt_.region_margin);
   }
 
-  /// The warm search window of a component: the bounding box of its
-  /// current route (its cells survive rip_up, which only touches the
-  /// fabric), falling back to the window imported from NegotiationMemory
-  /// for a net that has not been routed in this run yet. Empty = cold.
-  /// Reads only negotiation-thread state that is frozen during a batch's
-  /// search phase.
-  Box3 window_of(int component, const RoutedNet& current) const {
+  /// The warm search window of a net: the bounding box of its current
+  /// route (its cells survive rip_up, which only touches the fabric).
+  /// Empty = cold, for a net not yet routed in this run. Reads only
+  /// negotiation-thread state that is frozen during a batch's search phase.
+  static Box3 window_of(const RoutedNet& current) {
     Box3 w;
     for (const Vec3& cell : current.cells) w = w.expanded(cell);
-    if (w.empty() && !warm_window_.empty())
-      w = warm_window_[static_cast<std::size_t>(component)];
     return w;
   }
 
   bool route_component(int component, RoutedNet& out) {
-    const Box3 window = window_of(component, out);
+    const Box3 window = window_of(out);
     SearchStats stats;
     const bool ok = route_one_net(fabric_, scratch_[0], nodes_, placement_,
                                   opt_, component, window, out, stats);
     net_stats_[static_cast<std::size_t>(component)] += stats;
     return ok;
   }
-
-  void import_memory(RoutingResult& result, int components);
-  void export_memory(const RoutingResult& result, int components) const;
 
   const place::NodeSet& nodes_;
   const place::Placement& placement_;
@@ -151,86 +142,8 @@ class Router {
   /// Cells installed by commits of the current batch (epoch-stamped).
   std::vector<int> batch_stamp_;
   int batch_epoch_ = 0;
-  const NegotiationMemory* warm_;
-  NegotiationMemory* memory_out_;
   const CancelToken* stop_;
-  /// Initial warm windows imported from NegotiationMemory (empty when
-  /// cold).
-  std::vector<Box3> warm_window_;
 };
-
-/// Seed this run from a previous attempt's negotiation state: history
-/// costs are replayed by absolute coordinate over the fabric-box overlap
-/// with a 0.5 decay (stale congestion should suggest, not dictate), and
-/// each component's final route window is reconstituted by growing its new
-/// pin bounding box with the remembered per-face slack.
-void Router::import_memory(RoutingResult& result, int components) {
-  if (warm_ == nullptr || !warm_->valid || !opt_.warm_start) return;
-  if (warm_->window_slack.size() != static_cast<std::size_t>(components))
-    return;
-  result.warm_started = true;
-
-  const Box3& old_box = warm_->fabric_box;
-  const Vec3 old_dims = old_box.dims();
-  const auto old_index = [&](Vec3 p) {
-    const Vec3 rel = p - old_box.lo;
-    return (static_cast<std::size_t>(rel.y) * old_dims.z + rel.z) *
-               old_dims.x +
-           rel.x;
-  };
-  // History is still zero here, so adding the decayed value sets it.
-  for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
-    const Vec3 p = fabric_.cell_at(i);
-    if (!old_box.contains(p)) continue;
-    fabric_.add_history(i, 0.5f * warm_->history[old_index(p)]);
-  }
-
-  warm_window_.assign(static_cast<std::size_t>(components), Box3{});
-  for (int c = 0; c < components; ++c) {
-    const auto& slack = warm_->window_slack[static_cast<std::size_t>(c)];
-    if (slack[0] < 0) continue;  // component was unrouted last time
-    const Box3 pins = pin_box(c);
-    if (pins.empty()) continue;
-    Box3 w{{pins.lo.x - slack[1], pins.lo.y - slack[3], pins.lo.z - slack[5]},
-           {pins.hi.x + slack[0], pins.hi.y + slack[2],
-            pins.hi.z + slack[4]}};
-    w.lo = {std::max(w.lo.x, fabric_.box().lo.x),
-            std::max(w.lo.y, fabric_.box().lo.y),
-            std::max(w.lo.z, fabric_.box().lo.z)};
-    w.hi = {std::min(w.hi.x, fabric_.box().hi.x),
-            std::min(w.hi.y, fabric_.box().hi.y),
-            std::min(w.hi.z, fabric_.box().hi.z)};
-    warm_window_[static_cast<std::size_t>(c)] = w;
-  }
-}
-
-/// Export this run's final negotiation state for the next attempt.
-void Router::export_memory(const RoutingResult& result,
-                           int components) const {
-  if (memory_out_ == nullptr) return;
-  NegotiationMemory& mem = *memory_out_;
-  mem.valid = true;
-  mem.fabric_box = fabric_.box();
-  mem.history.resize(fabric_.cell_count());
-  for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
-    mem.history[i] = fabric_.history(i);
-  mem.window_slack.assign(static_cast<std::size_t>(components),
-                          {-1, 0, 0, 0, 0, 0});
-  for (int c = 0; c < components; ++c) {
-    const RoutedNet& net = result.nets[static_cast<std::size_t>(c)];
-    if (net.cells.empty()) continue;
-    Box3 route;
-    for (const Vec3& cell : net.cells) route = route.expanded(cell);
-    const Box3 pins = pin_box(c);
-    // Per-face slack in kNeighbours face order (+x,-x,+y,-y,+z,-z); routes
-    // contain their pins, so every entry is >= 0 — slack[0] == -1 is free
-    // as the unrouted sentinel.
-    mem.window_slack[static_cast<std::size_t>(c)] = {
-        route.hi.x - pins.hi.x, pins.lo.x - route.lo.x,
-        route.hi.y - pins.hi.y, pins.lo.y - route.lo.y,
-        route.hi.z - pins.hi.z, pins.lo.z - route.lo.z};
-  }
-}
 
 RoutingResult Router::run() {
   TQEC_TRACE_SPAN("route.pathfinder");
@@ -274,10 +187,6 @@ RoutingResult Router::run() {
   std::sort(order.begin(), order.end(),
             [&](int a, int b) { return routes_before(a, b); });
 
-  // Warm-start import (history + windows) comes before the first
-  // iteration so even iteration 1's searches benefit.
-  import_memory(result, components);
-
   // Base declared regions are a function of the (fixed) pin placement
   // only: compute them once. The effective region additionally covers the
   // net's current warm window (recomputed per iteration below), since that
@@ -312,7 +221,7 @@ RoutingResult Router::run() {
     // declare that box too so batch-mates stay disjoint from it.
     for (const int c : pending) {
       const auto ci = static_cast<std::size_t>(c);
-      const Box3 w = window_of(c, result.nets[ci]);
+      const Box3 w = window_of(result.nets[ci]);
       regions[ci] = w.empty() ? base_regions[ci]
                               : base_regions[ci].merged(w.inflated(1));
     }
@@ -337,8 +246,8 @@ RoutingResult Router::run() {
         // warm window reads the net's pre-rip-up route (rip_up only
         // touches the fabric), also frozen here.
         auto search_one = [&](std::size_t slot, std::size_t i) {
-          const Box3 window = window_of(
-              batch[i], result.nets[static_cast<std::size_t>(batch[i])]);
+          const Box3 window =
+              window_of(result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
               route_one_net(fabric_, scratch_[slot], nodes_, placement_,
                             opt_, batch[i], window, candidates[i],
@@ -431,7 +340,6 @@ RoutingResult Router::run() {
           }
         }
     }
-    result.overused_cells = overused;
     result.overused_per_iter.push_back(overused);
     if (overused == 0) {
       result.legal = true;
@@ -581,9 +489,11 @@ RoutingResult Router::run() {
                   "usage counters desynced from the final routes");
   }
 
-  // Final congestion census: usage histogram, top-K hottest cells, and a
-  // top-down text heatmap (one O(cells) pass, same cost class as the
-  // invariant check above).
+  // Final congestion census: overused cells, usage histogram, top-K
+  // hottest cells, and a top-down text heatmap (one O(cells) pass, same
+  // cost class as the invariant check above). The overused count is taken
+  // here, after repair, so it describes the routes the result reports;
+  // overused_per_iter keeps the negotiation series.
   {
     int max_usage = 0;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
@@ -591,10 +501,12 @@ RoutingResult Router::run() {
     result.congestion_histogram.assign(
         static_cast<std::size_t>(max_usage) + 1, 0);
     std::vector<std::size_t> used_cells;
+    result.overused_cells = 0;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i) {
       ++result.congestion_histogram[static_cast<std::size_t>(
           fabric_.usage(i))];
       if (fabric_.usage(i) > 0) used_cells.push_back(i);
+      if (fabric_.usage(i) > fabric_.capacity(i)) ++result.overused_cells;
     }
     constexpr std::size_t kTopK = 16;
     std::sort(used_cells.begin(), used_cells.end(),
@@ -636,7 +548,6 @@ RoutingResult Router::run() {
     result.window_hits += s.window_hits;
     result.window_misses += s.window_misses;
   }
-  export_memory(result, components);
   result.bounding = placement_.core;
   result.total_wire = 0;
   for (const RoutedNet& net : result.nets) {
@@ -659,17 +570,9 @@ RoutingResult Router::run() {
 
 RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,
-                         const RouteOptions& options) {
-  return route_nets(nodes, placement, options, nullptr, nullptr);
-}
-
-RoutingResult route_nets(const place::NodeSet& nodes,
-                         const place::Placement& placement,
                          const RouteOptions& options,
-                         const NegotiationMemory* warm,
-                         NegotiationMemory* memory_out,
                          const CancelToken* stop) {
-  Router router(nodes, placement, options, warm, memory_out, stop);
+  Router router(nodes, placement, options, stop);
   return router.run();
 }
 

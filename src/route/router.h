@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -88,33 +87,22 @@ struct RouteOptions {
   /// the caller decide (core::compile divides its `--jobs` budget across
   /// concurrent place+route attempts; plain route_nets treats 0 as 1).
   int threads = 0;
-  /// Warm-start negotiation across core::compile's restart attempts (CLI
-  /// `--route-warm-start`): carry PathFinder history costs and final route
-  /// windows from one attempt into the next via NegotiationMemory.
-  bool warm_start = true;
   /// Give up on a negotiation that the doom test (kDoomIteration,
   /// kDoomOverused) marks as hopeless: the run returns legal == false and
   /// abandoned == true, without hard-block repair. Meant for a run whose
   /// caller has a fallback: core::compile sets it for the y-gap 0
   /// whitespace level only, which escalates to y-gap 1 when illegal.
   bool abandon_doomed = false;
+  /// Inert: warm-start chaining across restart attempts is gone. Kept
+  /// only because perfbench's replay still names it (and so takes its
+  /// plain route_nets branch); delete it with that use.
+  static constexpr bool warm_start = false;
 };
 
-/// Negotiation state carried between route_nets calls (core::compile's
-/// multi-seed restart loop): decayed PathFinder history costs addressed by
-/// absolute fabric coordinates, plus each component's final route window
-/// encoded as per-face slack beyond its pin bounding box (kNeighbours face
-/// order: +x,-x,+y,-y,+z,-z). slack[0] == -1 marks a component that had no
-/// routed cells. A default-constructed memory (valid == false) warms
-/// nothing; route_nets never reads placement-specific indices from it —
-/// only absolute coordinates intersected with the new fabric box — so it
-/// is safe to replay against a different placement.
-struct NegotiationMemory {
-  bool valid = false;
-  Box3 fabric_box;
-  std::vector<float> history;
-  std::vector<std::array<int, 6>> window_slack;
-};
+/// Inert: the negotiation state warm-start chaining carried between
+/// attempts is gone. Kept only because perfbench's replay still names it;
+/// delete it with that use.
+struct NegotiationMemory {};
 
 struct RoutedNet {
   int component = -1;  // index into NodeSet::net_pins
@@ -128,6 +116,8 @@ struct RoutingResult {
   /// abandon_doomed); legal is then false and no repair ran.
   bool abandoned = false;
   int iterations = 0;
+  /// Overused cells of the final routes, after any hard-block repair
+  /// (overused_per_iter holds the negotiation series).
   int overused_cells = 0;
   std::int64_t total_wire = 0;  // summed route cells
   /// Bounding box over placement core and all routed cells.
@@ -176,8 +166,6 @@ struct RoutingResult {
   /// route's bounding box vs. fell through to the classic margin ladder.
   std::int64_t window_hits = 0;
   std::int64_t window_misses = 0;
-  /// Whether this run consumed a valid NegotiationMemory.
-  bool warm_started = false;
 
   // Congestion observability (always computed; one O(cells) pass at the
   // end of routing, serialized via core::stats_json and rendered by
@@ -206,15 +194,6 @@ struct RoutingResult {
 /// TqecError when negotiation cannot connect some net even by an
 /// unrestricted search (a pin walled off from the rest of its net): an
 /// unconnectable net is an error, never a partial result.
-RoutingResult route_nets(const place::NodeSet& nodes,
-                         const place::Placement& placement,
-                         const RouteOptions& options);
-
-/// Warm-startable variant: when `warm` is non-null, valid, and
-/// options.warm_start is set, the run seeds its history costs and initial
-/// per-net windows from it; when `memory_out` is non-null the run's final
-/// negotiation state is exported for the next attempt. Either pointer may
-/// be null (the plain overload passes both as null).
 ///
 /// `stop`, when non-null, is polled at every batch boundary and every
 /// repair scan: once it fires, the run returns at the next one with every
@@ -224,9 +203,17 @@ RoutingResult route_nets(const place::NodeSet& nodes,
 RoutingResult route_nets(const place::NodeSet& nodes,
                          const place::Placement& placement,
                          const RouteOptions& options,
-                         const NegotiationMemory* warm,
-                         NegotiationMemory* memory_out,
                          const CancelToken* stop = nullptr);
+
+/// Inert: forwards to the plain overload and ignores both memories. Kept
+/// only because perfbench's replay still names it; delete it with that
+/// use.
+inline RoutingResult route_nets(const place::NodeSet& nodes,
+                                const place::Placement& placement,
+                                const RouteOptions& options,
+                                const NegotiationMemory*, NegotiationMemory*) {
+  return route_nets(nodes, placement, options);
+}
 
 /// Add a routing run's work tallies (queue traffic, connects, reroutes,
 /// iterations, batches, repair outcomes, window hits, abandoned levels) to

@@ -181,6 +181,42 @@ TEST(CompileTest, MultiSeedNeverWorseThanSingleAttempt) {
   EXPECT_EQ(multi.timings.attempts[0].volume, single.volume);
 }
 
+// Restart attempts share nothing: each attempt of a multi-restart compile
+// is exactly the single-attempt compile at that attempt's derived seed,
+// however many threads run them. DualOnly, because in Full mode the seed
+// also drives primal bridging, which runs once before the attempts.
+TEST(CompileTest, RestartAttemptsAreIndependent) {
+  const icm::IcmCircuit circuit =
+      icm::make_workload(workload_spec(paper_benchmark("4gt10-v1_81")));
+  CompileOptions opt;
+  opt.mode = PipelineMode::DualOnly;
+  opt.seed = 7;
+  opt.place_restarts = 3;
+  opt.jobs = 1;
+  const CompileResult serial = compile(circuit, opt);
+  opt.jobs = 4;
+  const CompileResult parallel = compile(circuit, opt);
+  ASSERT_EQ(serial.timings.attempts.size(), 3u);
+  ASSERT_EQ(parallel.timings.attempts.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    CompileOptions one;
+    one.mode = PipelineMode::DualOnly;
+    one.seed = serial.timings.attempts[k].seed;
+    const CompileResult single = compile(circuit, one);
+    ASSERT_EQ(single.timings.attempts.size(), 1u);
+    const PlaceAttemptStats& want = single.timings.attempts[0];
+    for (const CompileResult* multi : {&serial, &parallel}) {
+      SCOPED_TRACE("attempt " + std::to_string(k) + ", jobs " +
+                   (multi == &serial ? "1" : "4"));
+      const PlaceAttemptStats& got = multi->timings.attempts[k];
+      EXPECT_EQ(got.seed, want.seed);
+      EXPECT_EQ(got.volume, want.volume);
+      EXPECT_EQ(got.route_queue_pops, want.route_queue_pops);
+      EXPECT_EQ(got.sa_repacked_nodes, want.sa_repacked_nodes);
+    }
+  }
+}
+
 TEST(CompileTest, StatsJsonReportsAttemptsAndRestarts) {
   CompileOptions opt;
   opt.place_restarts = 2;

@@ -174,10 +174,17 @@ TEST(GoldenTest, DualOnly_hwb5_53) {
 }
 
 // The third pipeline mode: no bridging, every net its own component.
+// Hard-block repair legalizes its negotiation, so the result must report
+// no overused cell.
 TEST(GoldenTest, ModularOnly_4gt10_v1_81) {
-  expect_golden(compile_paper("4gt10-v1_81", core::PipelineMode::ModularOnly),
-                {20880, {24, 30, 29}, 0, 21827, 633, 994231,
-                 0x1e7814069f2f0878ull, 0x2e7cb3488e3471e9ull});
+  const core::CompileResult r =
+      compile_paper("4gt10-v1_81", core::PipelineMode::ModularOnly);
+  expect_golden(r, {20880, {24, 30, 29}, 0, 21827, 633, 994231,
+                    0x1e7814069f2f0878ull, 0x2e7cb3488e3471e9ull});
+  EXPECT_GT(r.routing.repair_awarded, 0);
+  EXPECT_EQ(r.routing.overused_cells, 0);
+  ASSERT_EQ(r.timings.attempts.size(), 1u);
+  EXPECT_EQ(r.timings.attempts[0].route_overused, 0);
 }
 
 long long counter(const trace::MetricsSnapshot& m, const char* name) {
@@ -218,6 +225,30 @@ TEST(GoldenTest, Sharded_long_8x16_t1_c2_Window4) {
   EXPECT_TRUE(r.shard.issues.empty()) << r.shard.issues.front();
   expect_golden(r, {54080, {260, 13, 16}, 0, 543, 53, 106940,
                     0xa9c6108363e8e12eull, 0x04f138bbb6adfbe9ull});
+}
+
+// The sharded benchmark row (`tqec_compress benchmark long_16x128_t1_c3
+// --shard-window=8`): besides the usual fields, the shard plan and stitch
+// work are pinned exactly, so a change to windowing or seams shows here
+// rather than as a wall-clock ratio.
+TEST(GoldenTest, Sharded_long_16x128_t1_c3_Window8) {
+  icm::LayeredWorkloadSpec spec;
+  spec.seed = 7;
+  ASSERT_TRUE(icm::parse_layered_name("long_16x128_t1_c3", spec));
+  core::CompileOptions opt;
+  opt.seed = 7;
+  core::ShardOptions shard;
+  shard.window = 8;
+  const core::CompileResult r =
+      core::compile_sharded(icm::make_layered_workload(spec), opt, shard);
+  EXPECT_TRUE(r.shard.issues.empty()) << r.shard.issues.front();
+  expect_golden(r, {475104, {707, 21, 32}, 0, 11854, 203, 628967,
+                    0xddcb950e11772076ull, 0xd92ba52cc73cfc2dull});
+  EXPECT_EQ(r.shard.windows_total, 36);
+  EXPECT_EQ(r.shard.windows_reseeded, 0);
+  EXPECT_EQ(r.shard.crossings, 539);
+  EXPECT_EQ(r.shard.stitches, 539);
+  EXPECT_EQ(r.shard.seam_cells, 21842);
 }
 
 }  // namespace

@@ -125,7 +125,6 @@ void expect_identical(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.parallel_efficiency, b.parallel_efficiency);
   EXPECT_EQ(a.window_hits, b.window_hits);
   EXPECT_EQ(a.window_misses, b.window_misses);
-  EXPECT_EQ(a.warm_started, b.warm_started);
   EXPECT_EQ(a.congestion_histogram, b.congestion_histogram);
   ASSERT_EQ(a.nets.size(), b.nets.size());
   for (std::size_t i = 0; i < a.nets.size(); ++i) {
@@ -318,39 +317,6 @@ TEST(RouteParallelTest, DoomedConnectReturnsSeedAsPartialTree) {
   EXPECT_EQ(out.component, 0);
   EXPECT_EQ(out.cells, std::vector<Vec3>{f.placement.module_cell[0]});
   EXPECT_GT(stats.queue_pushes, 0);
-}
-
-// Warm-start negotiation (core::compile's restart chaining): a cold run
-// exports NegotiationMemory, a second run consumes it. The warm run must
-// set warm_started, stay legal, and be bit-identical across thread
-// counts; exporting from the warm run must itself be deterministic.
-TEST(RouteParallelTest, WarmStartChainIdenticalAcrossThreadCounts) {
-  const GridFixture f = random_fixture(5);
-  NegotiationMemory memory;
-  const RoutingResult cold = route_nets(f.nodes, f.placement,
-                                        options_with(1), nullptr,
-                                        &memory);
-  EXPECT_TRUE(cold.legal);
-  EXPECT_FALSE(cold.warm_started);
-  ASSERT_TRUE(memory.valid);
-
-  NegotiationMemory chained_one;
-  const RoutingResult warm_one = route_nets(f.nodes, f.placement,
-                                            options_with(1), &memory,
-                                            &chained_one);
-  EXPECT_TRUE(warm_one.legal);
-  EXPECT_TRUE(warm_one.warm_started);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    NegotiationMemory chained_many;
-    const RoutingResult warm_many =
-        route_nets(f.nodes, f.placement, options_with(threads),
-                   &memory, &chained_many);
-    expect_identical(warm_one, warm_many);
-    EXPECT_EQ(chained_one.valid, chained_many.valid);
-    EXPECT_EQ(chained_one.history, chained_many.history);
-    EXPECT_EQ(chained_one.window_slack, chained_many.window_slack);
-  }
 }
 
 }  // namespace

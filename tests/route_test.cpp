@@ -199,8 +199,7 @@ TEST(RouterTest, FiredStopTokenReturnsBeforeTheFirstBatch) {
   opt.seed = 7;
   opt.threads = 2;
   RoutingResult r;
-  EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, nullptr,
-                                 nullptr, &stop));
+  EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, &stop));
   EXPECT_FALSE(r.legal);
   EXPECT_LE(r.batches, 1);
   EXPECT_LE(r.reroutes_per_iter.size(), 1u);
@@ -225,8 +224,7 @@ TEST(RouterTest, StopAtAnyMomentKeepsFabricConsistent) {
     RouteOptions opt;
     opt.seed = 7;
     RoutingResult r;
-    EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, nullptr,
-                                   nullptr, &stop));
+    EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, &stop));
     stopper.join();
     if (r.legal) {
       EXPECT_EQ(r.total_wire, flow.routing.total_wire);
@@ -511,6 +509,21 @@ TEST(RepairTest, AwardBlockReleasedBetweenScans) {
   const auto a_cells = cell_set(r.nets[0]);
   EXPECT_TRUE(a_cells.count({2, 0, 2}));   // back over its awarded cell
   EXPECT_FALSE(a_cells.count({5, 0, 2}));  // Y stays with C
+}
+
+// The result's overused-cell count describes its final routes: repair
+// legalizes the two cells negotiation left contested, so the count is 0,
+// while overused_per_iter keeps the negotiation series that ended at 2.
+TEST(RepairTest, OverusedCellsCountTheRepairedRoutes) {
+  const GridFixture f = two_scan_repair_fixture();
+  RouteOptions opt;
+  opt.margin = 0;
+  opt.region_margin = 1;
+  const RoutingResult r = route_nets(f.nodes, f.placement, opt);
+  ASSERT_TRUE(r.legal);
+  ASSERT_FALSE(r.overused_per_iter.empty());
+  EXPECT_EQ(r.overused_per_iter.back(), 2);
+  EXPECT_EQ(r.overused_cells, 0);
 }
 
 

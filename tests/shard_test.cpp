@@ -393,16 +393,16 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
     expect_one_recompiled();
   }
 
-  // A well-formed record of the previous format version: a `tqecck 2`
-  // header and one more attempt token (version 2 carried a routing counter
-  // between route_parallel_efficiency and route_window_hits, the last
-  // three fields). It must fail soft and be rewritten at version 3.
+  // A well-formed record of the previous format version: a `tqecck 3`
+  // header and one more attempt token (version 3 ended the attempt line
+  // with a routing flag that version 4 dropped). It must fail soft and be
+  // rewritten at version 4.
   ASSERT_EQ(rewrite_record(files[0],
                            [](std::vector<std::string>& t) {
                              if (t[0] == "tqecck" && t.size() == 2)
-                               t[1] = "2";
+                               t[1] = "3";
                              else if (t[0] == "attempt" && t.size() > 4)
-                               t.insert(t.end() - 3, "0");
+                               t.push_back("0");
                              else
                                return false;
                              return true;
@@ -412,7 +412,7 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
   std::ifstream rewritten(files[0]);
   std::string header;
   std::getline(rewritten, header);
-  EXPECT_EQ(header, "tqecck 3");
+  EXPECT_EQ(header, "tqecck 4");
 }
 
 TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {

@@ -31,10 +31,6 @@
 //                              negotiation (default: divide the --jobs
 //                              budget across concurrent attempts; never
 //                              changes results)
-//   --route-warm-start=0|1     carry PathFinder history + windows across
-//                              the multi-seed restart attempts (default
-//                              1; 0 = every attempt negotiates cold, and
-//                              attempts may run concurrently)
 //   --shard-window=K           time-axis sharding: cut the circuit into
 //                              ~K-ASAP-layer windows at low-crossing time
 //                              cuts, compile windows independently, stitch
@@ -101,8 +97,8 @@ int usage() {
       "options: --mode=full|dual|modular --seed=N --effort=F\n"
       "         --jobs=N --place-restarts=K --stats-json=PATH|-\n"
       "         --trace-json=PATH --place-replicas=R --place-threads=N\n"
-      "         --route-threads=N --route-warm-start=0|1\n"
-      "         --shard-window=K --shard-threads=N --checkpoint-dir=PATH\n"
+      "         --route-threads=N --shard-window=K --shard-threads=N\n"
+      "         --checkpoint-dir=PATH\n"
       "         --no-optimize --no-plan --verify\n"
       "         --json=PATH --obj=PATH --svg=PATH --icm=PATH\n");
   return 2;
@@ -150,10 +146,6 @@ bool parse_flag(const std::string& arg, CliOptions& opt) {
   if (auto v = value_of("--trace-json=")) return opt.trace_json_path = *v, true;
   if (auto v = value_of("--route-threads=")) {
     opt.compile.route.threads = parse_int(*v, "--route-threads");
-    return true;
-  }
-  if (auto v = value_of("--route-warm-start=")) {
-    opt.compile.route.warm_start = parse_int(*v, "--route-warm-start") != 0;
     return true;
   }
   if (auto v = value_of("--shard-window=")) {

@@ -199,10 +199,6 @@ void render_route(const Value& stats) {
   }
   if (route->find("window_hits") != nullptr) {
     std::printf("\n  search acceleration (selected attempt)\n");
-    const Value* warm = route->find("warm_started");
-    std::printf("    warm-started %s\n",
-                warm != nullptr && warm->is_bool() && warm->boolean ? "yes"
-                                                                    : "no");
     const double hits = num_or(*route, "window_hits", 0);
     const double misses = num_or(*route, "window_misses", 0);
     std::printf("    warm-window hits %-15.0f misses %.0f (%.1f%% hit)\n",
