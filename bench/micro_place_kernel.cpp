@@ -8,17 +8,25 @@
 //                                  worker threads (the CI bench-smoke
 //                                  sweep; wall-clock gains need real
 //                                  cores, results are bit-identical
-//                                  regardless).
+//                                  regardless);
+//   PlacePaperRow/G                a paper row: rd84_142's seed-7 Full
+//                                  node set at y-gap G (0 and 1, the two
+//                                  whitespace levels a compile anneals).
 //
-// All variants place the same node set: the 64-qubit SA workload built
-// once outside the timed region, so the numbers are pure placement.
-// Counters (volume, moves, repacked nodes per move) are reported for the
-// last run of each variant.
+// PlacePack and PlaceThreads place the 64-qubit SA workload; every node
+// set is built once outside the timed region, so the numbers are pure
+// placement. Counters (volume, moves, repacked nodes per move) are
+// reported for the last run of each variant; PlacePaperRow adds SA moves
+// per second.
 #include <benchmark/benchmark.h>
+
+#include <utility>
 
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
 #include "compress/ishape.h"
+#include "core/compiler.h"
+#include "core/paper_tables.h"
 #include "icm/workload.h"
 #include "place/nodes.h"
 #include "place/placer.h"
@@ -49,8 +57,24 @@ const place::NodeSet& problem() {
   return nodes;
 }
 
-void run_place(benchmark::State& state, const place::PlaceOptions& opt) {
-  const place::NodeSet& nodes = problem();
+/// rd84_142's node set, exactly as a seed-7 Full compile builds it.
+const place::NodeSet& rd84_nodes() {
+  static const place::NodeSet nodes = [] {
+    core::CompileOptions opt;
+    opt.seed = 7;
+    opt.emit_geometry = false;
+    opt.keep_internals = true;
+    core::CompileResult r = core::compile(
+        icm::make_workload(
+            core::workload_spec(core::paper_benchmark("rd84_142"))),
+        opt);
+    return std::move(r.internals->nodes);
+  }();
+  return nodes;
+}
+
+void run_place(benchmark::State& state, const place::PlaceOptions& opt,
+               const place::NodeSet& nodes = problem()) {
   place::Placement last;
   for (auto _ : state) {
     last = place::place_modules(nodes, opt);
@@ -80,6 +104,18 @@ void BM_PlaceThreads(benchmark::State& state) {
   run_place(state, opt);
 }
 
+void BM_PlacePaperRow(benchmark::State& state) {
+  place::PlaceOptions opt;
+  opt.seed = 7;
+  opt.threads = 1;
+  opt.layer_y_gap = static_cast<int>(state.range(0));
+  run_place(state, opt, rd84_nodes());
+  // One chain on one thread, so CPU time is the anneal's own time.
+  state.counters["moves_per_s"] = benchmark::Counter(
+      state.counters["moves"].value * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
 }  // namespace
 
 BENCHMARK(BM_PlacePack)->Unit(benchmark::kMillisecond);
@@ -89,5 +125,6 @@ BENCHMARK(BM_PlaceThreads)
     ->Arg(4)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlacePaperRow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/clock.h"
@@ -72,6 +73,7 @@ const char* CompileError::code_name() const {
     case Code::Cancelled: return "cancelled";
     case Code::DeadlineExceeded: return "deadline_exceeded";
     case Code::Internal: return "internal";
+    case Code::NotLegal: return "not_legal";
   }
   return "?";
 }
@@ -211,7 +213,19 @@ CompileResponse Compiler::compile(const CompileRequest& request) {
       response.result = core::compile(icm, options, graph.get());
       response.result.timings.pd_graph_s = pd_graph_s;  // 0 on a cache hit
     }
-    response.ok = true;
+    if (response.result.routed_legal) {
+      response.ok = true;
+    } else {
+      std::string message =
+          "compiled result is not legal: routing left " +
+          std::to_string(response.result.routing.overused_cells) +
+          " overused cell(s)";
+      if (!response.result.shard.issues.empty())
+        message += "; " + std::to_string(response.result.shard.issues.size()) +
+                   " shard issue(s), first: " +
+                   response.result.shard.issues.front();
+      response.error = make_error(CompileError::Code::NotLegal, message);
+    }
   } catch (const CancelledError& e) {
     response.error = make_error(
         deadline_fired->load(std::memory_order_relaxed)

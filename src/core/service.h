@@ -4,9 +4,10 @@
 // for long-running processes (tools/tqec_serve, embedders, tests):
 //
 //   * Structured errors. Every failure mode — malformed input, unknown
-//     benchmark, cancellation, deadline overrun, internal defect — comes
-//     back as a CompileError with a machine-readable code instead of an
-//     exception unwinding through the caller.
+//     benchmark, cancellation, deadline overrun, internal defect, a result
+//     that is not legal — comes back as a CompileError with a
+//     machine-readable code instead of an exception unwinding through the
+//     caller. A successful response therefore always holds a legal result.
 //   * Cooperative cancellation and deadlines. The request's CancelToken is
 //     polled at stage boundaries; a positive deadline_s arms a watchdog on
 //     the progress callback that fires the token once wall-clock runs out.
@@ -71,6 +72,7 @@ struct CompileError {
     Cancelled,          // options.cancel fired
     DeadlineExceeded,   // deadline_s elapsed (the watchdog fired the token)
     Internal,           // pipeline invariant failure
+    NotLegal,           // the compile finished, but its result is illegal
   };
   Code code = Code::None;
   std::string message;
@@ -83,8 +85,9 @@ struct CompileError {
 struct CompileResponse {
   bool ok = false;
   CompileError error;
-  /// Valid only when ok; result.cache records this request's stage-cache
-  /// outcomes (and flows into stats_json / tqec_report).
+  /// Valid when ok, and on a NotLegal error (the illegal result, kept for
+  /// diagnosis); result.cache records this request's stage-cache outcomes
+  /// (and flows into stats_json / tqec_report).
   core::CompileResult result;
   double wall_s = 0;
 };

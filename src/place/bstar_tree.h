@@ -6,19 +6,20 @@
 // plane: the preorder root sits at the origin, a left child abuts its
 // parent's right edge (x = parent.x + parent.w), a right child shares its
 // parent's x, and every rectangle drops onto the packing contour. Packing
-// is O(n log n) with a contour step-function.
+// keeps the contour as one height per x column, so a rectangle costs its
+// own width in both the drop and the raise.
 //
 // The tree stores *items* (global placement-node ids); the simulated-
 // annealing engine owns several trees (one per 2.5D layer) and moves items
 // between them. All structural perturbations take an Rng for reproducible
 // randomness.
 //
-// Incremental packing. Besides the stateless `pack()`, the tree keeps an
-// epoch-stamped coordinate cache and a preorder dirty watermark so
-// `pack_update()` can repack only the suffix a perturbation disturbed:
+// Incremental packing. Besides the stateless `pack()`, the tree keeps a
+// coordinate cache and a preorder dirty watermark so `pack_update()` can
+// repack only the suffix a perturbation disturbed:
 //
 //  - Every mutator records the earliest preorder position it can affect in
-//    `dirty_from_`. Positions strictly before the watermark keep their
+//    `dirty_from`. Positions strictly before the watermark keep their
 //    slot, footprint, and coordinates, because a B*-tree packs in preorder
 //    and a node's position depends only on the nodes packed before it.
 //  - `pack_update()` replays the cached prefix into the contour (contour
@@ -28,10 +29,15 @@
 //    as a delta so callers can update downstream state proportionally to
 //    the disturbance, not the layer size.
 //  - Cached positions of suffix slots may be stale between packs; the
-//    watermark update rule `min(dirty_from_, stale_pos)` stays sound
+//    watermark update rule `min(dirty_from, stale_pos)` stays sound
 //    because the prefix slot set is invariant between packs: a stale
 //    position below the watermark implies the slot really is at that
 //    position (and vice versa).
+//
+// Snapshots. `save()` copies the tree's state into a Snapshot and
+// `restore()` puts it back. A snapshot leaves out the item -> slot index,
+// which is sized to the largest item id rather than to the tree; restore
+// rebuilds the index entries of the items involved, in O(tree size).
 //
 // In checked builds every `pack_update()` cross-checks itself against a
 // full `pack()` and asserts identical coordinates and extents.
@@ -66,6 +72,43 @@ struct PackResult {
   int depth = 0;  // extent along z
 };
 
+namespace detail {
+
+/// Packing contour: the height of every x column, stored densely. Columns
+/// at or past `used_` are known to be at ground level, so a reset clears
+/// only the columns the last pack raised.
+class Contour {
+ public:
+  void reset() {
+    std::fill(heights_.begin(), heights_.begin() + used_, 0);
+    used_ = 0;
+  }
+
+  /// Max height over [x0, x1).
+  int max_in(int x0, int x1) const {
+    const int end = std::min(x1, used_);
+    int best = 0;
+    for (int x = x0; x < end; ++x)
+      best = std::max(best, heights_[static_cast<std::size_t>(x)]);
+    return best;
+  }
+
+  /// Raise [x0, x1) to height h.
+  void set(int x0, int x1, int h) {
+    TQEC_ASSERT(x0 >= 0 && x1 > x0, "bad contour span");
+    if (static_cast<std::size_t>(x1) > heights_.size())
+      heights_.resize(static_cast<std::size_t>(x1), 0);
+    std::fill(heights_.begin() + x0, heights_.begin() + x1, h);
+    used_ = std::max(used_, x1);
+  }
+
+ private:
+  std::vector<int> heights_;
+  int used_ = 0;
+};
+
+}  // namespace detail
+
 class BStarTree {
  public:
   /// Outcome of one `pack_update()`: the items whose coordinates were
@@ -77,19 +120,55 @@ class BStarTree {
     int depth = 0;  // extent along z
   };
 
-  BStarTree() = default;
-  // Snapshots copy structure and the coordinate cache but not the packing
-  // scratch (contour, DFS stack, last delta) — rollback copies dominate
-  // the SA inner loop's memory traffic.
-  BStarTree(const BStarTree& other);
-  BStarTree& operator=(const BStarTree& other);
-  BStarTree(BStarTree&&) = default;
-  BStarTree& operator=(BStarTree&&) = default;
+ private:
+  struct Slot {
+    int item = -1;
+    int parent = -1;
+    int left = -1;   // placed at parent.x + parent.w
+    int right = -1;  // placed at parent.x
+  };
 
-  int size() const { return static_cast<int>(slots_.size()); }
-  bool empty() const { return slots_.empty(); }
+  /// Cached packed rectangle of one slot.
+  struct SlotPack {
+    int x = 0;
+    int z = 0;
+    int w = 0;
+    int d = 0;
+  };
+
+  /// Everything a tree is apart from its item index and packing scratch.
+  struct State {
+    std::vector<Slot> slots;
+    std::vector<int> items;  // dense item list (for random pick)
+    int root = -1;
+    int last_inserted = -1;
+    // ---- incremental packing cache (parallel to slots) ----
+    std::vector<SlotPack> packed;  // coordinates at last repack
+    std::vector<int> pos;          // preorder position at last pack
+    std::vector<int> order;        // preorder position -> slot index
+    int width = 0;
+    int depth = 0;
+    int dirty_from = 0;       // first possibly-affected preorder position
+    bool pack_valid = false;  // cache initialized by some pack_update()
+  };
+
+ public:
+  /// A saved tree state; see the header comment.
+  class Snapshot {
+    friend class BStarTree;
+    State state_;
+  };
+
+  int size() const { return static_cast<int>(state_.slots.size()); }
+  bool empty() const { return state_.slots.empty(); }
   bool contains(int item) const;
-  const std::vector<int>& items() const { return item_list_; }
+  const std::vector<int>& items() const { return state_.items; }
+
+  /// Copy the tree into `out`, reusing its buffers.
+  void save(Snapshot& out) const { out.state_ = state_; }
+  /// Return to a saved state, which `in` gives up (its contents are left
+  /// unspecified until the next save into it).
+  void restore(Snapshot&& in);
 
   /// Insert an item at a uniformly random free child slot.
   void insert(int item, Rng& rng);
@@ -121,7 +200,9 @@ class BStarTree {
 
   /// Cached coordinates from the last `pack_update()` (which must have
   /// left the tree clean — no mutations since).
-  bool pack_cache_clean() const { return pack_valid_ && dirty_from_ == kClean; }
+  bool pack_cache_clean() const {
+    return state_.pack_valid && state_.dirty_from == kClean;
+  }
   int packed_x(int item) const;
   int packed_z(int item) const;
   int packed_width() const;
@@ -131,153 +212,65 @@ class BStarTree {
   void check_invariants() const;
 
  private:
-  struct Slot {
-    int item = -1;
-    int parent = -1;
-    int left = -1;   // placed at parent.x + parent.w
-    int right = -1;  // placed at parent.x
-  };
-
-  /// Cached packed rectangle of one slot (epoch-stamped via stamp_).
-  struct SlotPack {
-    int x = 0;
-    int z = 0;
-    int w = 0;
-    int d = 0;
-  };
-
   static constexpr int kClean = std::numeric_limits<int>::max();
 
   int slot_of(int item) const;
+  void index_item(int item, int slot);
   void replace_child(int parent, int old_slot, int new_slot);
   void erase_slot(int slot);
-  void grow_cache_for_new_slot();
+  void add_slot(int item);
   /// Lower the dirty watermark to `pos` (a preorder position).
   void mark_dirty_at(int pos) {
-    if (pos < dirty_from_) dirty_from_ = pos;
+    if (pos < state_.dirty_from) state_.dirty_from = pos;
   }
   /// Lower the watermark to just below a parent slot (new-child insert).
   void mark_dirty_below(int parent_slot) {
-    if (!pack_valid_) return;
-    const int p = pos_[static_cast<std::size_t>(parent_slot)];
-    if (p < dirty_from_) dirty_from_ = p + 1;
+    if (!state_.pack_valid) return;
+    const int p = state_.pos[static_cast<std::size_t>(parent_slot)];
+    if (p < state_.dirty_from) state_.dirty_from = p + 1;
   }
   void mark_dirty_slot(int slot) {
-    if (!pack_valid_) return;
-    mark_dirty_at(pos_[static_cast<std::size_t>(slot)]);
+    if (!state_.pack_valid) return;
+    mark_dirty_at(state_.pos[static_cast<std::size_t>(slot)]);
   }
 
-  std::vector<Slot> slots_;
-  std::vector<int> item_list_;       // dense item list (for random pick)
-  std::vector<int> slot_of_item_;    // item id -> slot index (-1 absent)
-  int root_ = -1;
-  int last_inserted_ = -1;
+  State state_;
+  std::vector<int> slot_of_item_;  // item id -> slot index (-1 absent)
 
-  // ---- incremental packing cache (parallel to slots_) ----
-  std::vector<SlotPack> packed_;       // coordinates at last repack
-  std::vector<int> pos_;               // preorder position at last pack
-  std::vector<std::uint32_t> stamp_;   // pack epoch that wrote packed_
-  std::vector<int> order_;             // preorder position -> slot index
-  std::uint32_t pack_epoch_ = 0;
-  int width_ = 0;
-  int depth_ = 0;
-  int dirty_from_ = 0;      // first possibly-affected preorder position
-  bool pack_valid_ = false; // cache initialized by some pack_update()
-
-  // ---- packing scratch (not part of the logical state; not copied) ----
+  // ---- packing scratch (not part of the logical state; never copied) ----
   struct Frame {
     int slot;
     int x;
   };
-  class ContourScratch;  // defined below
-  std::vector<std::pair<int, int>> contour_;  // (start x, height) steps
-  std::vector<Frame> stack_;
-  PackDelta delta_;
+  struct Scratch {
+    Scratch() = default;
+    Scratch(const Scratch&) {}
+    Scratch& operator=(const Scratch&) { return *this; }
+    Scratch(Scratch&&) = default;
+    Scratch& operator=(Scratch&&) = default;
+
+    detail::Contour contour;
+    std::vector<Frame> stack;
+    PackDelta delta;
+  };
+  Scratch scratch_;
 };
 
 // ---- implementation of the packing templates ----
 
-namespace detail {
-
-/// Packing contour: height step-function along x as a flat sorted vector
-/// of (start, height) steps, each covering [start, next start). A flat
-/// array beats a std::map here: packing probes it thousands of times per
-/// SA move and the step count stays small, so binary search plus a
-/// contiguous splice wins on locality.
-class FlatContour {
- public:
-  using Step = std::pair<int, int>;
-
-  explicit FlatContour(std::vector<Step>& storage) : steps_(storage) {
-    steps_.clear();
-    steps_.emplace_back(0, 0);  // ground level over [0, +inf)
-  }
-
-  /// Max height over [x0, x1).
-  int max_in(int x0, int x1) const {
-    std::size_t i = index_at(x0);
-    int best = 0;
-    for (; i < steps_.size() && steps_[i].first < x1; ++i)
-      best = std::max(best, steps_[i].second);
-    return best;
-  }
-
-  /// Raise [x0, x1) to height h.
-  void set(int x0, int x1, int h) {
-    TQEC_ASSERT(x0 >= 0 && x1 > x0, "bad contour span");
-    const std::size_t lb0 = lower_bound(x0);
-    const std::size_t lb1 = lower_bound(x1);
-    const bool has_x1 = lb1 < steps_.size() && steps_[lb1].first == x1;
-    // Height that must survive just beyond the span.
-    const int tail = has_x1 ? steps_[lb1].second : steps_[lb1 - 1].second;
-    const Step repl[2] = {{x0, h}, {x1, tail}};
-    const std::size_t count = has_x1 ? 1 : 2;
-    const std::size_t removed = lb1 - lb0;
-    if (removed >= count) {
-      for (std::size_t i = 0; i < count; ++i) steps_[lb0 + i] = repl[i];
-      steps_.erase(steps_.begin() + static_cast<std::ptrdiff_t>(lb0 + count),
-                   steps_.begin() + static_cast<std::ptrdiff_t>(lb1));
-    } else {
-      for (std::size_t i = 0; i < removed; ++i) steps_[lb0 + i] = repl[i];
-      steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(lb1),
-                    repl + removed, repl + count);
-    }
-  }
-
- private:
-  /// Index of the step active at x (last step with start <= x).
-  std::size_t index_at(int x) const {
-    std::size_t i = lower_bound(x);
-    if (i == steps_.size() || steps_[i].first > x) --i;
-    return i;
-  }
-  /// First index with start >= x.
-  std::size_t lower_bound(int x) const {
-    return static_cast<std::size_t>(
-        std::lower_bound(steps_.begin(), steps_.end(), x,
-                         [](const Step& s, int v) { return s.first < v; }) -
-        steps_.begin());
-  }
-
-  std::vector<Step>& steps_;
-};
-
-}  // namespace detail
-
 template <typename FootprintFn>
 PackResult BStarTree::pack(FootprintFn&& footprint) const {
   PackResult result;
-  if (root_ < 0) return result;
+  if (state_.root < 0) return result;
 
-  std::vector<detail::FlatContour::Step> storage;
-  detail::FlatContour contour(storage);
+  detail::Contour contour;
   // Preorder DFS with explicit stack of (slot, x).
-  std::vector<Frame> stack{{root_, 0}};
-  result.placed.reserve(slots_.size());
+  std::vector<Frame> stack{{state_.root, 0}};
+  result.placed.reserve(state_.slots.size());
   while (!stack.empty()) {
     const Frame f = stack.back();
     stack.pop_back();
-    const Slot& s = slots_[static_cast<std::size_t>(f.slot)];
+    const Slot& s = state_.slots[static_cast<std::size_t>(f.slot)];
     const Footprint fp = footprint(s.item);
     TQEC_ASSERT(fp.w > 0 && fp.d > 0, "non-positive footprint");
     const int z = contour.max_in(f.x, f.x + fp.w);
@@ -293,104 +286,105 @@ PackResult BStarTree::pack(FootprintFn&& footprint) const {
 
 template <typename FootprintFn>
 const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint) {
-  delta_.repacked.clear();
+  State& st = state_;
+  PackDelta& delta = scratch_.delta;
+  delta.repacked.clear();
   const int n = size();
-  if (root_ < 0) {
-    order_.clear();
-    width_ = depth_ = 0;
-    delta_.width = delta_.depth = 0;
-    dirty_from_ = kClean;
-    pack_valid_ = true;
-    return delta_;
+  if (st.root < 0) {
+    st.order.clear();
+    st.width = st.depth = 0;
+    delta.width = delta.depth = 0;
+    st.dirty_from = kClean;
+    st.pack_valid = true;
+    return delta;
   }
-  const int from = pack_valid_ ? dirty_from_ : 0;
+  const int from = st.pack_valid ? st.dirty_from : 0;
   if (from == kClean) {
     // Nothing changed since the last pack; extents stay cached.
-    delta_.width = width_;
-    delta_.depth = depth_;
-    return delta_;
+    delta.width = st.width;
+    delta.depth = st.depth;
+    return delta;
   }
   // Preorder positions [0, keep) kept their slots, footprints, and
   // coordinates; replay their contour raises verbatim (a raise is a pure
   // function of its arguments and prior state, so the replayed contour is
   // bit-identical to the original one at position `keep`).
   const int keep = std::min(from, n);
-  detail::FlatContour contour(contour_);
+  detail::Contour& contour = scratch_.contour;
+  contour.reset();
   int width = 0;
   int depth = 0;
   for (int i = 0; i < keep; ++i) {
-    const SlotPack& c = packed_[static_cast<std::size_t>(
-        order_[static_cast<std::size_t>(i)])];
+    const SlotPack& c = st.packed[static_cast<std::size_t>(
+        st.order[static_cast<std::size_t>(i)])];
     contour.set(c.x, c.x + c.w, c.z + c.d);
     width = std::max(width, c.x + c.w);
     depth = std::max(depth, c.z + c.d);
   }
   // Resume the preorder DFS; prefix nodes only refresh bookkeeping and
   // feed their cached geometry to their children.
-  ++pack_epoch_;
-  order_.resize(static_cast<std::size_t>(n));
-  stack_.clear();
-  stack_.push_back({root_, 0});
+  st.order.resize(static_cast<std::size_t>(n));
+  std::vector<Frame>& stack = scratch_.stack;
+  stack.clear();
+  stack.push_back({st.root, 0});
   int position = 0;
-  while (!stack_.empty()) {
-    const Frame f = stack_.back();
-    stack_.pop_back();
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
     const std::size_t sp = static_cast<std::size_t>(f.slot);
-    const Slot& s = slots_[sp];
-    if (pos_[sp] < keep) {
-      const SlotPack c = packed_[sp];
+    const Slot& s = st.slots[sp];
+    if (st.pos[sp] < keep) {
+      const SlotPack c = st.packed[sp];
       // TQEC_ASSERT is always-on in this repo; these cache-sanity checks
       // call footprint() for clean-prefix nodes — the very work the
       // incremental path exists to skip — so they are debug-only.
 #ifndef NDEBUG
-      TQEC_ASSERT(pos_[sp] == position && c.x == f.x,
+      TQEC_ASSERT(st.pos[sp] == position && c.x == f.x,
                   "clean-prefix cache out of sync");
       TQEC_ASSERT(footprint(s.item).w == c.w && footprint(s.item).d == c.d,
                   "footprint changed without mark_item_dirty");
 #endif
-      order_[static_cast<std::size_t>(position)] = f.slot;
+      st.order[static_cast<std::size_t>(position)] = f.slot;
       ++position;
-      if (s.right >= 0) stack_.push_back({s.right, c.x});
-      if (s.left >= 0) stack_.push_back({s.left, c.x + c.w});
+      if (s.right >= 0) stack.push_back({s.right, c.x});
+      if (s.left >= 0) stack.push_back({s.left, c.x + c.w});
       continue;
     }
     const Footprint fp = footprint(s.item);
     TQEC_ASSERT(fp.w > 0 && fp.d > 0, "non-positive footprint");
     const int z = contour.max_in(f.x, f.x + fp.w);
     contour.set(f.x, f.x + fp.w, z + fp.d);
-    packed_[sp] = {f.x, z, fp.w, fp.d};
-    stamp_[sp] = pack_epoch_;
-    delta_.repacked.push_back({s.item, f.x, z});
+    st.packed[sp] = {f.x, z, fp.w, fp.d};
+    delta.repacked.push_back({s.item, f.x, z});
     width = std::max(width, f.x + fp.w);
     depth = std::max(depth, z + fp.d);
-    pos_[sp] = position;
-    order_[static_cast<std::size_t>(position)] = f.slot;
+    st.pos[sp] = position;
+    st.order[static_cast<std::size_t>(position)] = f.slot;
     ++position;
-    if (s.right >= 0) stack_.push_back({s.right, f.x});
-    if (s.left >= 0) stack_.push_back({s.left, f.x + fp.w});
+    if (s.right >= 0) stack.push_back({s.right, f.x});
+    if (s.left >= 0) stack.push_back({s.left, f.x + fp.w});
   }
   TQEC_ASSERT(position == n, "preorder walk missed slots");
-  width_ = width;
-  depth_ = depth;
-  delta_.width = width;
-  delta_.depth = depth;
-  dirty_from_ = kClean;
-  pack_valid_ = true;
+  st.width = width;
+  st.depth = depth;
+  delta.width = width;
+  delta.depth = depth;
+  st.dirty_from = kClean;
+  st.pack_valid = true;
 #ifndef NDEBUG
   {
     // Cross-check the incremental result against a stateless full pack.
     const PackResult full = pack(footprint);
-    TQEC_ASSERT(full.width == width_ && full.depth == depth_,
+    TQEC_ASSERT(full.width == st.width && full.depth == st.depth,
                 "incremental pack extents diverge from full pack");
     for (const PackedItem& p : full.placed) {
-      const SlotPack& c =
-          packed_[static_cast<std::size_t>(slot_of(p.item))];
+      const SlotPack& c = st.packed[static_cast<std::size_t>(slot_of(p.item))];
       TQEC_ASSERT(c.x == p.x && c.z == p.z,
                   "incremental pack coordinates diverge from full pack");
     }
   }
 #endif
-  return delta_;
+  return delta;
 }
 
 }  // namespace tqec::place

@@ -75,10 +75,6 @@ struct NodeSet {
   /// constituent nets pass through (deduplicated pin list).
   std::vector<std::vector<pdgraph::ModuleId>> net_pins;
 
-  /// Measurement-order constraints lifted to (module, module) pairs that
-  /// span different nodes (intra-node pairs are satisfied by construction).
-  std::vector<std::pair<pdgraph::ModuleId, pdgraph::ModuleId>> cross_order;
-
   int node_count() const { return static_cast<int>(nodes.size()); }
 };
 

@@ -47,6 +47,12 @@ WireIndex build_wire_index(const NodeSet& nodes) {
     for (pdgraph::ModuleId m : pins) {
       const int node = nodes.node_of_module[static_cast<std::size_t>(m)];
       const Vec3 offset = nodes.module_offset[static_cast<std::size_t>(m)];
+      // The span scoring (Chain::score_net) needs every pin strictly
+      // inside its node's height, hence inside its layer's y range.
+      TQEC_REQUIRE(offset.y >= 0 &&
+                       offset.y < nodes.nodes[static_cast<std::size_t>(node)]
+                                      .dims.y,
+                   "module offset outside its node's height");
       int& term = term_of_node[static_cast<std::size_t>(node)];
       if (term < 0) {
         term = static_cast<int>(index.terms.size());
@@ -64,6 +70,20 @@ WireIndex build_wire_index(const NodeSet& nodes) {
   index.begin.push_back(static_cast<int>(index.terms.size()));
   return index;
 }
+
+/// A net's wirelength split by its layer span. The pins of one layer sit
+/// inside [base, base + height) of that layer, and a higher layer's base
+/// is at least the top of every lower one, so the net's lowest pin lies in
+/// its bottom layer and its highest in its top layer. Hence
+///     HPWL = planar + base[top] - base[bottom],
+/// where `planar` (the x and z extents plus the in-layer y offsets of the
+/// extreme pins) does not depend on the layer bases at all.
+struct NetSpan {
+  std::int64_t planar = 0;
+  int top = 0;
+  int bottom = 0;
+  bool operator==(const NetSpan&) const = default;
+};
 
 /// One annealing chain (replica): the complete mutable SA state plus its
 /// own RNG stream and ladder temperature. Chains never touch each other's
@@ -87,11 +107,15 @@ class Chain {
 
   void init(int layer_count) {
     build_initial(layer_count);
-    changed_nodes_.clear();
-    cost_ = evaluate(/*full_nets=*/true, &volume_, &wire_);
+    volume_ = layout_volume();
+    full_wire_recompute();
+    wire_ = total_wire_;
+    cost_ = cost_of(volume_);
     initial_volume_ = volume_;
     best_cost_ = cost_;
-    best_state_ = snapshot();
+    best_layers_.resize(layers_.size());
+    best_dirty_.assign(layers_.size(), 1);
+    save_best();
   }
 
   void run_steps(int count) {
@@ -114,15 +138,20 @@ class Chain {
     // All wirelength bookkeeping is exact integer arithmetic, so the
     // incremental and journal-restored caches cannot drift from a full
     // recompute; checked builds verify that at every temperature step
-    // instead of resyncing, and that the sample's acceptance rate is a
-    // fraction.
+    // instead of resyncing (against a per-pin HPWL recompute, which shares
+    // neither the term boxes nor the span split), and that the sample's
+    // acceptance rate is a fraction.
 #ifndef NDEBUG
     {
-      const std::vector<std::int64_t> tracked = wl_of_net_;
+      const std::vector<NetSpan> tracked = spans_;
+      const std::vector<std::int64_t> tracked_weight = span_weight_;
       const std::int64_t tracked_total = total_wire_;
       full_wire_recompute();
-      TQEC_ASSERT(wl_of_net_ == tracked && total_wire_ == tracked_total,
+      TQEC_ASSERT(spans_ == tracked && span_weight_ == tracked_weight &&
+                      total_wire_ == tracked_total,
                   "incremental wirelength diverged from full recompute");
+      TQEC_ASSERT(total_wire_ == pin_wirelength(),
+                  "span-split wirelength diverged from per-pin HPWL");
     }
     TQEC_ASSERT(accepted_ - accepted_at_sample_ <= steps_since_sample_,
                 "more accepted moves than iterations since the last sample");
@@ -137,7 +166,7 @@ class Chain {
 
   /// Exchange configurations with another chain (replica exchange): the
   /// layouts and their derived caches migrate, the ladder temperature, RNG
-  /// stream, curve, and counters stay with the lane.
+  /// stream, curve, counters, and best state stay with the lane.
   void swap_config(Chain& other) {
     std::swap(layers_, other.layers_);
     std::swap(cache_, other.cache_);
@@ -146,24 +175,32 @@ class Chain {
     std::swap(plane_x_, other.plane_x_);
     std::swap(plane_z_, other.plane_z_);
     std::swap(layer_base_, other.layer_base_);
-    std::swap(wl_of_net_, other.wl_of_net_);
+    std::swap(spans_, other.spans_);
+    std::swap(span_weight_, other.span_weight_);
+    std::swap(planar_total_, other.planar_total_);
     std::swap(net_stamp_, other.net_stamp_);
     std::swap(stamp_, other.stamp_);
     std::swap(total_wire_, other.total_wire_);
     std::swap(cost_, other.cost_);
     std::swap(volume_, other.volume_);
     std::swap(wire_, other.wire_);
+    // Every layer now differs from the lane's saved best.
+    std::fill(best_dirty_.begin(), best_dirty_.end(), 1);
+    std::fill(other.best_dirty_.begin(), other.best_dirty_.end(), 1);
   }
 
   /// Restore the best layout this lane ever held and emit the geometric
   /// part of the Placement.
   Placement materialize() {
-    std::tie(layers_, layer_of_node_, rotated_) = std::move(best_state_);
-    for (std::size_t l = 0; l < layers_.size(); ++l)
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      layers_[l].restore(std::move(best_layers_[l]));
       refresh_layer_from_tree(static_cast<int>(l));
-    std::int64_t final_volume = 0;
-    std::int64_t final_wire = 0;
-    evaluate(/*full_nets=*/true, &final_volume, &final_wire);
+    }
+    layer_of_node_ = std::move(best_layer_of_node_);
+    rotated_ = std::move(best_rotated_);
+    layout_volume();
+    full_wire_recompute();
+    const std::int64_t final_wire = total_wire_;
 
     Placement placement;
     placement.node_origin.assign(nodes_.nodes.size(), Vec3{});
@@ -252,21 +289,18 @@ class Chain {
   }
 
   /// Resync a layer's caches from its tree's (clean) coordinate cache —
-  /// used when a rollback or best-state restore replaced the tree object
-  /// wholesale rather than through pack_update.
+  /// used when the best-state restore replaced the tree wholesale rather
+  /// than through pack_update.
   void refresh_layer_from_tree(int layer) {
     BStarTree& tree = layers_[static_cast<std::size_t>(layer)];
     LayerCache& c = cache_[static_cast<std::size_t>(layer)];
     c.width = tree.empty() ? 0 : tree.packed_width();
     c.depth = tree.empty() ? 0 : tree.packed_depth();
-    c.height = 0;
     for (int item : tree.items()) {
-      c.height = std::max(
-          c.height, nodes_.nodes[static_cast<std::size_t>(item)].dims.y);
       plane_x_[static_cast<std::size_t>(item)] = tree.packed_x(item);
       plane_z_[static_cast<std::size_t>(item)] = tree.packed_z(item);
     }
-    if (c.height > 0) c.height += opt_.layer_y_gap;
+    recompute_height(layer);
   }
 
   /// After a snapshot rollback, restore the plane coordinates of every
@@ -295,125 +329,163 @@ class Chain {
     return node_origin(node) + off;
   }
 
-  /// HPWL of a net over its per-node terms, equal to the HPWL over its
-  /// pin cells. Integer-valued, so the running totals are exact and need
-  /// no resync.
-  std::int64_t net_wirelength(std::size_t net) const {
+  /// A net's span split (see NetSpan) over its per-node terms. The y
+  /// extremes compare (layer, in-node offset) pairs, packed into one
+  /// integer with the layer on top; no layer base is read. Integer-valued,
+  /// so the running totals are exact and need no resync.
+  NetSpan score_net(std::size_t net) const {
     const int first = wires_.begin[net];
     const int last = wires_.begin[net + 1];
-    if (first == last) return 0;
-    Vec3 lo{INT_MAX, INT_MAX, INT_MAX};
-    Vec3 hi{INT_MIN, INT_MIN, INT_MIN};
+    if (first == last) return {};
+    int lo_x = INT_MAX;
+    int hi_x = INT_MIN;
+    int lo_z = INT_MAX;
+    int hi_z = INT_MIN;
+    std::int64_t lo_y = INT64_MAX;
+    std::int64_t hi_y = INT64_MIN;
     for (int t = first; t < last; ++t) {
       const NetTerm& term = wires_.terms[static_cast<std::size_t>(t)];
       const auto node = static_cast<std::size_t>(term.node);
-      Vec3 a = term.offsets.lo;
-      Vec3 b = term.offsets.hi;
-      if (rotated_[node]) {
-        std::swap(a.x, a.z);
-        std::swap(b.x, b.z);
-      }
-      const Vec3 origin = node_origin(node);
-      a += origin;
-      b += origin;
-      lo = {std::min(lo.x, a.x), std::min(lo.y, a.y), std::min(lo.z, a.z)};
-      hi = {std::max(hi.x, b.x), std::max(hi.y, b.y), std::max(hi.z, b.z)};
+      const Vec3& a = term.offsets.lo;
+      const Vec3& b = term.offsets.hi;
+      const bool rot = rotated_[node];
+      const int x = plane_x_[node];
+      const int z = plane_z_[node];
+      lo_x = std::min(lo_x, x + (rot ? a.z : a.x));
+      hi_x = std::max(hi_x, x + (rot ? b.z : b.x));
+      lo_z = std::min(lo_z, z + (rot ? a.x : a.z));
+      hi_z = std::max(hi_z, z + (rot ? b.x : b.z));
+      const std::int64_t layer = std::int64_t{layer_of_node_[node]} << 32;
+      lo_y = std::min(lo_y, layer | a.y);
+      hi_y = std::max(hi_y, layer | b.y);
     }
-    return std::int64_t{hi.x - lo.x} + (hi.y - lo.y) + (hi.z - lo.z);
+    constexpr std::int64_t kOffset = 0xffffffff;
+    return {std::int64_t{hi_x - lo_x} + (hi_z - lo_z) + (hi_y & kOffset) -
+                (lo_y & kOffset),
+            static_cast<int>(hi_y >> 32), static_cast<int>(lo_y >> 32)};
+  }
+
+  /// Add (sign +1) or remove (sign -1) a net's span from the totals.
+  void count_span(const NetSpan& span, int sign) {
+    planar_total_ += sign * span.planar;
+    span_weight_[static_cast<std::size_t>(span.top)] += sign;
+    span_weight_[static_cast<std::size_t>(span.bottom)] -= sign;
+  }
+
+  /// total_wire_ from the planar total and the current layer bases.
+  void resum_wire() {
+    total_wire_ = planar_total_;
+    for (std::size_t l = 0; l < layer_base_.size(); ++l)
+      total_wire_ += layer_base_[l] * span_weight_[l];
   }
 
   void full_wire_recompute() {
-    total_wire_ = 0;
-    for (std::size_t n = 0; n < nodes_.net_pins.size(); ++n) {
-      wl_of_net_[n] = net_wirelength(n);
-      total_wire_ += wl_of_net_[n];
+    planar_total_ = 0;
+    std::fill(span_weight_.begin(), span_weight_.end(), 0);
+    for (std::size_t n = 0; n < spans_.size(); ++n) {
+      spans_[n] = score_net(n);
+      count_span(spans_[n], +1);
     }
+    resum_wire();
   }
 
-  /// Refresh layer bases, then the wirelength of the nets incident to the
-  /// nodes whose cells changed this move (full recompute when a layer
-  /// height change shifted the bases). Everything it overwrites goes to
-  /// the journal, which rollback_wire() restores. Returns the new cost.
-  double evaluate(bool full_nets, std::int64_t* volume_out,
-                  std::int64_t* wire_out) {
-    journal_base_ = layer_base_;
-    journal_total_ = total_wire_;
-    journal_nets_.clear();
+#ifndef NDEBUG
+  /// Total HPWL straight from the pin cells (the checked builds' oracle).
+  std::int64_t pin_wirelength() const {
+    std::int64_t total = 0;
+    for (const auto& pins : nodes_.net_pins) {
+      if (pins.size() < 2) continue;
+      Box3 box;
+      for (pdgraph::ModuleId m : pins) box = box.expanded(module_cell(m));
+      const Vec3 d = box.hi - box.lo;
+      total += std::int64_t{d.x} + d.y + d.z;
+    }
+    return total;
+  }
+#endif
+
+  /// Refresh the layer bases from the layer caches and return the volume.
+  std::int64_t layout_volume() {
     int width = 0;
     int depth = 0;
     int base = 0;
-    bool bases_changed = false;
     for (std::size_t l = 0; l < cache_.size(); ++l) {
       width = std::max(width, cache_[l].width);
       depth = std::max(depth, cache_[l].depth);
-      if (layer_base_[l] != base) bases_changed = true;
       layer_base_[l] = base;
       base += cache_[l].height;
     }
-    const std::int64_t volume =
-        std::int64_t{width} * depth * std::max(base, 1);
+    return std::int64_t{width} * depth * std::max(base, 1);
+  }
 
-    journal_full_ = full_nets || bases_changed;
-    if (journal_full_) {
-      std::swap(wl_of_net_, journal_wl_);
-      full_wire_recompute();
-    } else {
-      ++stamp_;
-      for (int node : changed_nodes_) {
-        for (int net : wires_.nets_of_node[static_cast<std::size_t>(node)]) {
-          const auto n = static_cast<std::size_t>(net);
-          if (net_stamp_[n] == stamp_) continue;
-          net_stamp_[n] = stamp_;
-          journal_nets_.emplace_back(net, wl_of_net_[n]);
-          total_wire_ -= wl_of_net_[n];
-          wl_of_net_[n] = net_wirelength(n);
-          total_wire_ += wl_of_net_[n];
-        }
+  double cost_of(std::int64_t volume) const {
+    return static_cast<double>(volume) +
+           kBetaWire * static_cast<double>(total_wire_);
+  }
+
+  /// Refresh the layer bases and volume, then re-score the nets incident
+  /// to the nodes whose cells or layers changed this move; a base shift
+  /// reaches every other net through span_weight_ alone. Everything it
+  /// overwrites goes to the journal, which rollback_wire() restores.
+  /// Returns the new cost.
+  double evaluate(std::int64_t* volume_out) {
+    journal_base_ = layer_base_;
+    journal_total_ = total_wire_;
+    journal_nets_.clear();
+    const std::int64_t volume = layout_volume();
+    ++stamp_;
+    for (int node : changed_nodes_) {
+      for (int net : wires_.nets_of_node[static_cast<std::size_t>(node)]) {
+        const auto n = static_cast<std::size_t>(net);
+        if (net_stamp_[n] == stamp_) continue;
+        net_stamp_[n] = stamp_;
+        journal_nets_.emplace_back(net, spans_[n]);
+        count_span(spans_[n], -1);
+        spans_[n] = score_net(n);
+        count_span(spans_[n], +1);
       }
     }
-
-    double order_penalty = 0;
-    for (const auto& [before, after] : nodes_.cross_order) {
-      const int xa = module_cell(before).x;
-      const int xb = module_cell(after).x;
-      if (xa >= xb) order_penalty += 10.0 * (xa - xb + 1);
-    }
-
-    if (volume_out != nullptr) *volume_out = volume;
-    if (wire_out != nullptr) *wire_out = total_wire_;
-    return static_cast<double>(volume) +
-           kBetaWire * static_cast<double>(total_wire_) + order_penalty;
+    resum_wire();
+    *volume_out = volume;
+    return cost_of(volume);
   }
 
   /// Undo the last evaluate(): the rejected move has already restored the
-  /// layout, so the pre-move layer bases and wirelengths are exactly the
+  /// layout, so the pre-move layer bases and spans are exactly the
   /// journaled ones.
   void rollback_wire() {
     std::swap(layer_base_, journal_base_);
     total_wire_ = journal_total_;
-    if (journal_full_) {
-      std::swap(wl_of_net_, journal_wl_);
-    } else {
-      for (const auto& [net, wl] : journal_nets_)
-        wl_of_net_[static_cast<std::size_t>(net)] = wl;
+    for (const auto& [net, span] : journal_nets_) {
+      NetSpan& cur = spans_[static_cast<std::size_t>(net)];
+      count_span(cur, -1);
+      cur = span;
+      count_span(cur, +1);
     }
   }
 
-  std::tuple<std::vector<BStarTree>, std::vector<int>, std::vector<bool>>
-  snapshot() const {
-    return std::tuple(layers_, layer_of_node_, rotated_);
+  /// Record the current layout as the lane's best: only the layers that
+  /// changed since the previous record are copied.
+  void save_best() {
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      if (!best_dirty_[l]) continue;
+      layers_[l].save(best_layers_[l]);
+      best_dirty_[l] = 0;
+    }
+    best_layer_of_node_ = layer_of_node_;
+    best_rotated_ = rotated_;
   }
 
   void build_initial(int layer_count) {
     layers_.assign(static_cast<std::size_t>(layer_count), BStarTree{});
     cache_.assign(static_cast<std::size_t>(layer_count), LayerCache{});
     layer_base_.assign(static_cast<std::size_t>(layer_count), 0);
+    span_weight_.assign(static_cast<std::size_t>(layer_count), 0);
     layer_of_node_.assign(nodes_.nodes.size(), 0);
     rotated_.assign(nodes_.nodes.size(), false);
     plane_x_.assign(nodes_.nodes.size(), 0);
     plane_z_.assign(nodes_.nodes.size(), 0);
-    wl_of_net_.assign(nodes_.net_pins.size(), 0);
-    journal_wl_.assign(nodes_.net_pins.size(), 0);
+    spans_.assign(nodes_.net_pins.size(), NetSpan{});
     net_stamp_.assign(nodes_.net_pins.size(), 0);
 
     // Big nodes first, round-robin across layers; each layer starts as a
@@ -481,8 +553,8 @@ class Chain {
           changed_nodes_.push_back(b);
           repack(la);
         } else {
-          saved_a_ = layers_[static_cast<std::size_t>(la)];
-          saved_b_ = layers_[static_cast<std::size_t>(lb)];
+          layers_[static_cast<std::size_t>(la)].save(saved_a_);
+          layers_[static_cast<std::size_t>(lb)].save(saved_b_);
           saved_cache_a_ = cache_[static_cast<std::size_t>(la)];
           saved_cache_b_ = cache_[static_cast<std::size_t>(lb)];
           layers_[static_cast<std::size_t>(la)].remove(a, rng_);
@@ -505,10 +577,10 @@ class Chain {
         if (target_layer == la &&
             layers_[static_cast<std::size_t>(la)].size() == 1)
           break;  // no-op relocation of a lone node
-        saved_a_ = layers_[static_cast<std::size_t>(la)];
+        layers_[static_cast<std::size_t>(la)].save(saved_a_);
         saved_cache_a_ = cache_[static_cast<std::size_t>(la)];
         if (target_layer != la) {
-          saved_b_ = layers_[static_cast<std::size_t>(target_layer)];
+          layers_[static_cast<std::size_t>(target_layer)].save(saved_b_);
           saved_cache_b_ = cache_[static_cast<std::size_t>(target_layer)];
         }
         layers_[static_cast<std::size_t>(la)].remove(a, rng_);
@@ -528,19 +600,21 @@ class Chain {
     if (!applied) return false;
 
     std::int64_t cand_volume = 0;
-    std::int64_t cand_wire = 0;
-    const double cand_cost = evaluate(false, &cand_volume, &cand_wire);
+    const double cand_cost = evaluate(&cand_volume);
     const double delta = cand_cost - cost_;
     const bool accept =
         delta <= 0 || rng_.uniform() < std::exp(-delta / temperature_);
     if (accept) {
       cost_ = cand_cost;
       volume_ = cand_volume;
-      wire_ = cand_wire;
+      wire_ = total_wire_;
       ++accepted_;
+      const int other_layer = move == Move::Swap ? lb : target_layer;
+      best_dirty_[static_cast<std::size_t>(la)] = 1;
+      best_dirty_[static_cast<std::size_t>(other_layer)] = 1;
       if (cost_ < best_cost_) {
         best_cost_ = cost_;
-        best_state_ = snapshot();
+        save_best();
       }
     } else {
       ++rejected_;
@@ -556,8 +630,8 @@ class Chain {
             layers_[static_cast<std::size_t>(la)].swap_items(a, b);
             repack(la);
           } else {
-            layers_[static_cast<std::size_t>(la)] = std::move(saved_a_);
-            layers_[static_cast<std::size_t>(lb)] = std::move(saved_b_);
+            layers_[static_cast<std::size_t>(la)].restore(std::move(saved_a_));
+            layers_[static_cast<std::size_t>(lb)].restore(std::move(saved_b_));
             cache_[static_cast<std::size_t>(la)] = saved_cache_a_;
             cache_[static_cast<std::size_t>(lb)] = saved_cache_b_;
             layer_of_node_[static_cast<std::size_t>(a)] = la;
@@ -566,11 +640,11 @@ class Chain {
           }
           break;
         case Move::Relocate:
-          layers_[static_cast<std::size_t>(la)] = std::move(saved_a_);
+          layers_[static_cast<std::size_t>(la)].restore(std::move(saved_a_));
           cache_[static_cast<std::size_t>(la)] = saved_cache_a_;
           if (target_layer != la) {
-            layers_[static_cast<std::size_t>(target_layer)] =
-                std::move(saved_b_);
+            layers_[static_cast<std::size_t>(target_layer)].restore(
+                std::move(saved_b_));
             cache_[static_cast<std::size_t>(target_layer)] = saved_cache_b_;
           }
           layer_of_node_[static_cast<std::size_t>(a)] = la;
@@ -594,7 +668,13 @@ class Chain {
   std::vector<int> plane_x_;
   std::vector<int> plane_z_;
   std::vector<int> layer_base_;
-  std::vector<std::int64_t> wl_of_net_;
+  // Wirelength split by layer span (see NetSpan): per-net spans, the sum
+  // of their planar parts, and per layer the number of nets whose top
+  // layer it is minus the number whose bottom layer it is, so that
+  // total_wire_ = planar_total_ + sum(layer_base_[l] * span_weight_[l]).
+  std::vector<NetSpan> spans_;
+  std::int64_t planar_total_ = 0;
+  std::vector<std::int64_t> span_weight_;
   std::vector<int> net_stamp_;
   int stamp_ = 0;
   std::int64_t total_wire_ = 0;
@@ -606,23 +686,24 @@ class Chain {
   int steps_since_sample_ = 0;
   bool last_step_applied_ = true;
 
-  std::tuple<std::vector<BStarTree>, std::vector<int>, std::vector<bool>>
-      best_state_;
+  // The best layout this lane held; best_dirty_ flags the layers that may
+  // differ from their saved copy (set by every accepted move).
+  std::vector<BStarTree::Snapshot> best_layers_;
+  std::vector<std::uint8_t> best_dirty_;
+  std::vector<int> best_layer_of_node_;
+  std::vector<bool> best_rotated_;
 
   // Per-move scratch (lane-local, so replicas need no shared slots).
   std::vector<int> changed_nodes_;
-  BStarTree saved_a_;
-  BStarTree saved_b_;
+  BStarTree::Snapshot saved_a_;
+  BStarTree::Snapshot saved_b_;
   LayerCache saved_cache_a_;
   LayerCache saved_cache_b_;
-  // Journal of the last evaluate(): the layer bases and total it replaced,
-  // plus either the (net, old wirelength) pairs it overwrote or, after a
-  // full recompute, the whole previous wl_of_net_ (a swap buffer).
+  // Journal of the last evaluate(): the layer bases and total it
+  // replaced, plus the (net, old span) pairs it overwrote.
   std::vector<int> journal_base_;
   std::int64_t journal_total_ = 0;
-  bool journal_full_ = false;
-  std::vector<std::pair<int, std::int64_t>> journal_nets_;
-  std::vector<std::int64_t> journal_wl_;
+  std::vector<std::pair<int, NetSpan>> journal_nets_;
 };
 
 }  // namespace

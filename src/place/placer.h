@@ -17,12 +17,16 @@
 //
 // The inner loop is incremental end to end: every perturbation repacks
 // only the dirty suffix of its layer's B*-tree (BStarTree::pack_update)
-// and re-evaluates only the nets of nodes whose cells actually moved. A
+// and re-evaluates only the nets of nodes whose cells or layer changed. A
 // net's HPWL is scored over one bounding-box term per host node, not per
-// pin, and a rejected move restores the wirelength caches from a journal
-// instead of re-evaluating. All wirelength bookkeeping is exact integer
-// arithmetic, so the tracked cost never drifts from a full recompute
-// (checked builds assert this at every temperature-batch boundary).
+// pin, and split into a base-free planar part plus the bases of its top
+// and bottom layers, so a layer-height change updates the total in
+// O(layers). A rejected move restores the wirelength caches from a
+// journal instead of re-evaluating, and its trees from snapshots that
+// leave out the global item index. All wirelength bookkeeping is exact
+// integer arithmetic, so the tracked cost never drifts from a full
+// recompute (checked builds assert this, and agreement with a per-pin
+// HPWL, at every temperature-batch boundary).
 //
 // Optional parallel tempering: `replicas` > 1 anneals R temperature-
 // staggered chains and swaps their configurations at temperature-batch

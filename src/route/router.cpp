@@ -386,10 +386,13 @@ RoutingResult Router::run() {
   // in which case the result stays honestly illegal. Repair ends when a
   // scan leaves at least as many overused cells as it started with: its
   // reroutes re-created as much contest as its awards resolved, and later
-  // scans only repeat that churn. An abandoned run skips repair.
+  // scans only repeat that churn. Such a scan is undone, so repair never
+  // hands back more congestion than it was given. An abandoned run skips
+  // repair.
+  constexpr int kRepairScans = 20;
   std::size_t scan_start_contested = std::numeric_limits<std::size_t>::max();
-  for (int scan = 0; !result.legal && !result.abandoned && scan < 20;
-       ++scan) {
+  std::vector<RoutedNet> scan_start_routes;
+  for (int scan = 0; !result.legal && !result.abandoned; ++scan) {
     if (stop_requested()) break;
     // Collect every currently overused cell in one fabric pass.
     std::vector<std::size_t> contested;
@@ -399,8 +402,17 @@ RoutingResult Router::run() {
       result.legal = true;
       break;
     }
-    if (contested.size() >= scan_start_contested) break;
+    if (contested.size() >= scan_start_contested) {
+      for (std::size_t c = 0; c < result.nets.size(); ++c) {
+        rip_up(result.nets[c]);
+        result.nets[c] = std::move(scan_start_routes[c]);
+        install(result.nets[c]);
+      }
+      break;
+    }
+    if (scan == kRepairScans) break;
     scan_start_contested = contested.size();
+    scan_start_routes = result.nets;
     bool progressed = false;
     // Hard blocks of cells awarded in THIS scan: they keep later reroutes
     // of the same scan off the awarded cells, but must be lifted at scan

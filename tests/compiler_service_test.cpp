@@ -232,6 +232,26 @@ TEST(CompilerServiceTest, BadRequests) {
   EXPECT_NE(miss.error.message.find("no-such-benchmark"), std::string::npos);
 }
 
+// A compile that finishes with an illegal result is an error, never a
+// success: ModularOnly 4gt4-v0_73 at seed 7 ends routing with 99 overused
+// cells. The illegal result stays attached for diagnosis.
+TEST(CompilerServiceTest, IllegalResultIsNotLegalError) {
+  Compiler compiler;
+  CompileRequest req;
+  req.benchmark = "4gt4-v0_73";
+  req.options.mode = core::PipelineMode::ModularOnly;
+  req.options.seed = 7;
+  req.options.emit_geometry = false;
+  const CompileResponse r = compiler.compile(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.code, CompileError::Code::NotLegal);
+  EXPECT_STREQ(r.error.code_name(), "not_legal");
+  EXPECT_NE(r.error.message.find("99 overused"), std::string::npos)
+      << r.error.message;
+  EXPECT_FALSE(r.result.routed_legal);
+  EXPECT_EQ(r.result.routing.overused_cells, 99);
+}
+
 TEST(CompilerServiceTest, CancellationMidPipeline) {
   // The progress callback cancels the token when the pipeline reaches the
   // dual-bridge boundary; compile() must stop there and report Cancelled.

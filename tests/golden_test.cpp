@@ -17,11 +17,17 @@
 
 #include "common/hash.h"
 #include "common/trace.h"
+#include "compress/dual_bridging.h"
+#include "compress/flipping.h"
+#include "compress/ishape.h"
 #include "core/compiler.h"
 #include "core/paper_tables.h"
 #include "core/shard.h"
 #include "geom/validate.h"
 #include "icm/workload.h"
+#include "pdgraph/pd_graph.h"
+#include "place/nodes.h"
+#include "place/placer.h"
 
 namespace tqec {
 namespace {
@@ -206,6 +212,66 @@ TEST(GoldenTest, Full_rd84_142_AllLevelRouteCounters) {
   expect_golden(r, kFull_rd84_142);
   EXPECT_EQ(counter(r.metrics, "route.queue_pops"), 702615);
   EXPECT_EQ(counter(r.metrics, "route.connects"), 22800);
+}
+
+// The SA trajectory of both whitespace levels of a Full seed-7 compile,
+// including the y-gap 0 level the compile discards. The node set is the
+// compile's own (same pipeline prefix and default options): each y-gap 1
+// row's repacked count equals the kept level's in the Full rows above.
+// Every move's RNG draw, accept decision and integer cost shows in these
+// counters, so a placer change meant as a pure speedup must leave them
+// all unchanged.
+struct SaGolden {
+  std::int64_t volume;
+  std::int64_t wirelength;
+  int accepted;
+  int rejected;
+  std::int64_t repacked_nodes;
+};
+
+place::NodeSet full_node_set(const char* name) {
+  const core::CompileOptions defaults;
+  const icm::IcmCircuit circuit = icm::make_workload(
+      core::workload_spec(core::paper_benchmark(name)));
+  const pdgraph::PdGraph graph = pdgraph::build_pd_graph(circuit);
+  const compress::IshapeResult ishape = compress::simplify_ishape(graph);
+  const compress::PrimalBridging bridging = compress::bridge_primal_best(
+      graph, ishape, 7, defaults.primal_restarts);
+  compress::DualBridging dual = compress::bridge_dual(graph, ishape);
+  return place::build_nodes(graph, ishape, bridging, dual,
+                            defaults.plan_flips);
+}
+
+void expect_sa_levels(const char* name, const SaGolden (&want)[2]) {
+  const place::NodeSet nodes = full_node_set(name);
+  for (int y_gap = 0; y_gap < 2; ++y_gap) {
+    place::PlaceOptions opt;
+    opt.seed = 7;
+    opt.layer_y_gap = y_gap;
+    const place::Placement p = place::place_modules(nodes, opt);
+    const auto wirelength = static_cast<std::int64_t>(p.wirelength);
+    SCOPED_TRACE(::testing::Message()
+                 << name << " y-gap " << y_gap << " observed: {" << p.volume
+                 << ", " << wirelength << ", " << p.moves_accepted << ", "
+                 << p.moves_rejected << ", " << p.repacked_nodes << "}");
+    const SaGolden& w = want[y_gap];
+    EXPECT_EQ(p.volume, w.volume);
+    EXPECT_EQ(wirelength, w.wirelength);
+    EXPECT_EQ(p.wirelength, static_cast<double>(wirelength));
+    EXPECT_EQ(p.moves_accepted, w.accepted);
+    EXPECT_EQ(p.moves_rejected, w.rejected);
+    EXPECT_EQ(p.repacked_nodes, w.repacked_nodes);
+  }
+}
+
+TEST(GoldenTest, SaTrajectory_rd84_142_BothLevels) {
+  expect_sa_levels("rd84_142", {{114696, 4310, 26200, 23765, 601771},
+                                {131544, 4504, 24540, 25343, 620901}});
+}
+
+TEST(GoldenTest, SaTrajectory_hwb5_53_BothLevels) {
+  expect_sa_levels("hwb5_53", {{214620, 11687, 36242, 13254, 683962},
+                               {253080, 11729, 34039, 15439, 691918}});
 }
 
 TEST(GoldenTest, Sharded_long_8x16_t1_c2_Window4) {

@@ -3,6 +3,8 @@
 // driven end-to-end from gates to verified compressed geometry.
 #include <gtest/gtest.h>
 
+#include "core/compiler.h"
+#include "core/paper_tables.h"
 #include "decompose/decompose.h"
 #include "geom/validate.h"
 #include "icm/builder.h"
@@ -138,6 +140,26 @@ TEST(EndToEndFamiliesTest, SeedsChangeLayoutNotLegality) {
     previous = result.volume;
   }
   EXPECT_TRUE(any_difference) << "seeds should explore different layouts";
+}
+
+// 4gt4-v0_73 in ModularOnly mode at seed 7 cannot be legalized: its
+// negotiation ends with 99 overused cells, and hard-block repair's first
+// scan leaves more than it started with. Repair must undo such a scan, so
+// the result never reports more overuse than negotiation handed over.
+TEST(EndToEndFamiliesTest, RepairNeverAddsOverusedCells) {
+  core::CompileOptions opt;
+  opt.mode = core::PipelineMode::ModularOnly;
+  opt.seed = 7;
+  opt.emit_geometry = false;
+  const core::CompileResult r = core::compile(
+      icm::make_workload(
+          core::workload_spec(core::paper_benchmark("4gt4-v0_73"))),
+      opt);
+  ASSERT_FALSE(r.routed_legal);
+  ASSERT_FALSE(r.routing.overused_per_iter.empty());
+  EXPECT_EQ(r.routing.overused_per_iter.back(), 99);
+  EXPECT_GT(r.routing.repair_awarded, 0);
+  EXPECT_LE(r.routing.overused_cells, r.routing.overused_per_iter.back());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
@@ -113,6 +114,50 @@ TEST_P(BStarTreeRandomOps, InvariantsSurviveRandomEditing) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BStarTreeRandomOps,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// A restore returns the tree to the saved state exactly — same packing,
+// same item index — after edits that moved items in and out, and the
+// restored tree keeps packing incrementally from its saved cache.
+TEST(BStarTreeTest, RestoreUndoesEditsAndIndex) {
+  Rng rng(9);
+  std::vector<Footprint> dims(30);
+  for (auto& d : dims) d = {rng.range(1, 4), rng.range(1, 4)};
+  const auto fp = [&](int item) { return dims[static_cast<std::size_t>(item)]; };
+  BStarTree tree;
+  for (int i = 0; i < 12; ++i) tree.insert(i, rng);
+  tree.pack_update(fp);
+  const PackResult before = tree.pack(fp);
+
+  BStarTree::Snapshot saved;
+  tree.save(saved);
+  tree.remove(3, rng);
+  tree.remove(7, rng);
+  tree.insert(20, rng);
+  tree.insert(21, rng);
+  tree.swap_items(0, 20);
+  tree.pack_update(fp);
+  tree.restore(std::move(saved));
+
+  tree.check_invariants();
+  EXPECT_TRUE(tree.pack_cache_clean());
+  EXPECT_TRUE(tree.contains(3) && tree.contains(7));
+  EXPECT_FALSE(tree.contains(20) || tree.contains(21));
+  const PackResult after = tree.pack(fp);
+  ASSERT_EQ(after.placed.size(), before.placed.size());
+  for (std::size_t i = 0; i < after.placed.size(); ++i) {
+    EXPECT_EQ(after.placed[i].item, before.placed[i].item);
+    EXPECT_EQ(after.placed[i].x, before.placed[i].x);
+    EXPECT_EQ(after.placed[i].z, before.placed[i].z);
+    EXPECT_EQ(tree.packed_x(after.placed[i].item), after.placed[i].x);
+    EXPECT_EQ(tree.packed_z(after.placed[i].item), after.placed[i].z);
+  }
+  EXPECT_TRUE(tree.pack_update(fp).repacked.empty());
+  tree.swap_items(1, 2);
+  const BStarTree::PackDelta& delta = tree.pack_update(fp);
+  const PackResult full = tree.pack(fp);
+  EXPECT_EQ(delta.width, full.width);
+  EXPECT_EQ(delta.depth, full.depth);
+}
 
 TEST(BStarTreeTest, RemoveRejectsAbsentItem) {
   BStarTree tree;

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """CI smoke check for tqec_serve.
 
-Drives the daemon interactively over stdin/stdout with four requests —
-two identical compiles, one malformed document, and a benchmark compile
-asking for the full stats report — then issues the admin introspection
-commands and asserts:
+Drives the daemon interactively over stdin/stdout with five requests —
+two identical compiles, one malformed document, a benchmark compile
+asking for the full stats report, and a benchmark compile whose result is
+not legal — then issues the admin introspection commands and asserts:
   * both identical compiles succeed with the same volume (bit-identical
     result);
   * the second compile is served from the stage cache (pd_graph = "hit");
   * the malformed request yields a structured parse_error naming the line;
+  * the illegal compile yields a not_legal error (never "ok") whose
+    message gives the overused-cell count;
   * the "stats": true response arrives as one line (JSONL) embedding the
     stats_json v2 report;
   * {"admin": "health"} reports the worker pool and an empty queue;
-  * {"admin": "metrics"} counts 4 requests (3 ok / 1 error), 1 cache hit
-    and 2 misses, and a serve.request_s histogram with exactly 4 samples;
+  * {"admin": "metrics"} counts 5 requests (3 ok / 2 errors), 1 cache hit
+    and 3 misses, and a serve.request_s histogram with exactly 5 samples;
   * {"admin": "metrics_text"} is parseable OpenMetrics text exposition
     ending in "# EOF";
   * the access log holds one well-formed JSON line per request.
@@ -46,6 +48,9 @@ REQUESTS = [
     {"id": "b", "icm": ICM},
     {"id": "broken", "icm": BROKEN},
     {"id": "stats", "benchmark": "4gt10-v1_81", "stats": True},
+    # ModularOnly 4gt4-v0_73 at seed 7 ends routing with 99 overused cells.
+    {"id": "illegal", "benchmark": "4gt4-v0_73",
+     "options": {"mode": "modular", "seed": 7}},
 ]
 ADMIN = [
     {"id": "health", "admin": "health"},
@@ -94,6 +99,10 @@ def check_compiles(responses):
     assert stats["ok"], stats
     assert stats["stats"]["stats_version"] == 2, stats["stats"].keys()
     assert stats["stats"]["volume"] == stats["volume"], stats["volume"]
+    illegal = responses["illegal"]
+    assert not illegal["ok"], illegal
+    assert illegal["error"]["code"] == "not_legal", illegal["error"]
+    assert "99 overused" in illegal["error"]["message"], illegal["error"]
     return a, b, broken
 
 
@@ -109,25 +118,25 @@ def check_metrics(metrics):
     assert metrics["ok"] and metrics["admin"] == "metrics", metrics
     serve = metrics["serve"]
     counters = serve["counters"]
-    assert counters["requests"] == 4, counters
+    assert counters["requests"] == 5, counters
     assert counters["requests_ok"] == 3, counters
-    assert counters["requests_error"] == 1, counters
+    assert counters["requests_error"] == 2, counters
     assert counters["overloaded"] == 0, counters
     assert counters["responses_dropped"] == 0, counters
     # The script exercises exactly the pd_graph stage: one miss (request
-    # a), one hit (request b), one miss (the benchmark, whose ICM is built
-    # in); broken fails before any lookup.
+    # a), one hit (request b), one miss each for the two benchmarks, whose
+    # ICM is built in; broken fails before any lookup.
     assert counters["cache_hits"] == 1, counters
-    assert counters["cache_misses"] == 2, counters
+    assert counters["cache_misses"] == 3, counters
     cache = serve["cache"]
-    assert cache["hits"] == 1 and cache["misses"] == 2, cache
+    assert cache["hits"] == 1 and cache["misses"] == 3, cache
     hists = serve["histograms"]
     request_s = hists["serve.request_s"]
-    assert request_s["count"] == 4, request_s
-    assert sum(b["n"] for b in request_s["buckets"]) == 4, request_s
-    # All four requests were admitted, so all four waited in the queue.
-    assert hists["serve.queue_wait_s"]["count"] == 4, hists
-    assert hists["serve.cache_lookup_s"]["count"] == 3, hists
+    assert request_s["count"] == 5, request_s
+    assert sum(b["n"] for b in request_s["buckets"]) == 5, request_s
+    # All five requests were admitted, so all five waited in the queue.
+    assert hists["serve.queue_wait_s"]["count"] == 5, hists
+    assert hists["serve.cache_lookup_s"]["count"] == 4, hists
     return serve
 
 
@@ -156,12 +165,12 @@ def parse_openmetrics(text):
 def check_metrics_text(response):
     assert response["ok"] and response["admin"] == "metrics_text", response
     plain, buckets = parse_openmetrics(response["text"])
-    assert plain["tqec_serve_requests_total"] == 4, plain
+    assert plain["tqec_serve_requests_total"] == 5, plain
     assert plain["tqec_serve_requests_ok_total"] == 3, plain
-    assert plain["tqec_serve_requests_error_total"] == 1, plain
+    assert plain["tqec_serve_requests_error_total"] == 2, plain
     assert plain["tqec_serve_workers"] == 1, plain
-    assert plain["tqec_serve_request_s_count"] == 4, plain
-    assert buckets[("tqec_serve_request_s_bucket", "+Inf")] == 4, buckets
+    assert plain["tqec_serve_request_s_count"] == 5, plain
+    assert buckets[("tqec_serve_request_s_bucket", "+Inf")] == 5, buckets
     # Cumulative buckets are monotone and end at _count.
     series = [v for (m, _), v in sorted(buckets.items())
               if m == "tqec_serve_request_s_bucket"]
@@ -172,7 +181,7 @@ def check_metrics_text(response):
 def check_access_log(path):
     with open(path) as f:
         lines = [line for line in f.read().splitlines() if line.strip()]
-    assert len(lines) == 4, f"expected 4 access-log lines, got {len(lines)}"
+    assert len(lines) == 5, f"expected 5 access-log lines, got {len(lines)}"
     entries = {}
     for line in lines:
         doc = json.loads(line)  # each line must be well-formed JSON
@@ -180,11 +189,13 @@ def check_access_log(path):
                     "code"):
             assert key in doc, f"access-log line missing {key!r}: {doc}"
         entries[doc["id"]] = doc
-    assert set(entries) == {"a", "b", "broken", "stats"}, sorted(entries)
+    assert set(entries) == {"a", "b", "broken", "stats", "illegal"}, (
+        sorted(entries))
     assert entries["a"]["code"] == "ok", entries["a"]
     assert entries["b"]["code"] == "ok", entries["b"]
     assert entries["stats"]["code"] == "ok", entries["stats"]
     assert entries["broken"]["code"] == "parse_error", entries["broken"]
+    assert entries["illegal"]["code"] == "not_legal", entries["illegal"]
     # Identical inputs carry identical content digests; the broken one
     # differs.
     assert entries["a"]["digest"] == entries["b"]["digest"], entries

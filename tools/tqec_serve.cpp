@@ -36,7 +36,8 @@
 // Prometheus/OpenMetrics text format shipped as a JSON string; a scraper
 // sidecar extracts the "text" field and serves it over HTTP.
 //
-// Response (success):
+// Response (success; "legal" is always true, since an illegal result is
+// the not_legal error):
 //   {"id": "r1", "ok": true, "volume": V, "legal": true, "modules": M,
 //    "nodes": N, "wall_s": S, "cache": {"decompose": "hit|miss|skip", ...},
 //    "shard": {"windows_total": W, "windows_resumed": R,
@@ -46,7 +47,7 @@
 // Response (failure):
 //   {"id": "r1", "ok": false,
 //    "error": {"code": "bad_request|parse_error|cancelled|deadline_exceeded|
-//              overloaded|internal", "message": "...",
+//              not_legal|overloaded|internal", "message": "...",
 //              "source": "...", "line": L}}   // parse_error only
 //
 // Observability: the server keeps always-on latency histograms
