@@ -11,6 +11,7 @@
 //                          one JSON array to `path` on exit (CI artifact)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -215,12 +216,15 @@ BENCHMARK(BM_GeomPath)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Perf-trajectory rows for BENCH_geom.json: wall time (and the process
-// peak-RSS gauge) of validate + canonical exact count on the two tracked
-// workloads — a paper benchmark and the deep layered circuit.
-// workload = state.range(0): 0 = ham15_107, 1 = long_16x128_t1_c3.
+// peak-RSS gauge) of validate + canonical exact count on the tracked
+// workloads — a paper benchmark, the deep layered circuit, and the same
+// circuit stitched from shard windows, whose seams chain most primal
+// structures into one defect of thousands of segments.
+// workload = state.range(0): 0 = ham15_107, 1 = long_16x128_t1_c3,
+// 2 = long_16x128_t1_c3 stitched at --shard-window=8.
 
 const geom::GeomDescription& workload_geometry(int which) {
-  static const geom::GeomDescription geoms[2] = {
+  static const geom::GeomDescription geoms[3] = {
       [] {
         const icm::IcmCircuit circuit =
             icm::make_workload(core::workload_spec(
@@ -236,6 +240,19 @@ const geom::GeomDescription& workload_geometry(int which) {
         core::CompileResult r =
             core::compile(icm::make_layered_workload(spec), {});
         TQEC_REQUIRE(r.routed_legal, "micro_geom: long compile not legal");
+        return std::move(r.geometry);
+      }(),
+      [] {
+        icm::LayeredWorkloadSpec spec;
+        TQEC_REQUIRE(icm::parse_layered_name("long_16x128_t1_c3", spec),
+                     "micro_geom: bad workload name");
+        core::CompileOptions opt;
+        opt.seed = 7;
+        core::ShardOptions shard;
+        shard.window = 8;
+        core::CompileResult r = core::compile_sharded(
+            icm::make_layered_workload(spec), opt, shard);
+        TQEC_REQUIRE(r.routed_legal, "micro_geom: sharded compile not legal");
         return std::move(r.geometry);
       }(),
   };
@@ -255,6 +272,11 @@ void BM_ValidateCount(benchmark::State& state) {
   state.counters["ok"] = ok ? 1 : 0;
   state.counters["cells"] = static_cast<double>(cells);
   state.counters["segments"] = static_cast<double>(g.segment_count());
+  std::size_t max_defect_segments = 0;
+  for (const geom::DefectView d : g.defects())
+    max_defect_segments = std::max(max_defect_segments, d.segments.size());
+  state.counters["max_defect_segments"] =
+      static_cast<double>(max_defect_segments);
   state.counters["peak_rss_mib"] =
       static_cast<double>(trace::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
@@ -262,6 +284,7 @@ BENCHMARK(BM_ValidateCount)
     ->ArgNames({"workload"})
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

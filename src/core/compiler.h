@@ -272,7 +272,8 @@ void publish_geom_gauges(const GeomStats& geom);
   X(int, crossings, 0)         /* line/cut crossings over all seams */       \
   X(int, stitches, 0)          /* seam paths carved */                       \
   X(std::int64_t, seam_cells, 0)                                             \
-  X(double, stitch_s, 0)
+  X(double, stitch_s, 0)                                                     \
+  X(double, validate_s, 0)     /* geom::validate of the stitched result */
 
 struct ShardStats {
   TQEC_SHARD_FIELDS(TQEC_STATS_MEMBER)

@@ -706,6 +706,7 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
   // retried windows overwrite their checkpoints so a resumed run replays
   // the retried geometry byte-for-byte.
   const auto t_stitch = std::chrono::steady_clock::now();
+  trace::Span stitch_span("shard.stitch");
   geom::StitchOptions sopt;
   sopt.seam_gap = shard.seam_gap;
   geom::StitchResult stitched;
@@ -742,6 +743,7 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
     if (!progressed) break;
   }
   const double stitch_s = seconds_since(t_stitch);
+  stitch_span.end();
 
   // Assemble the merged result.
   CompileResult result;
@@ -795,7 +797,11 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
 
   // The stitched geometry must pass the structural validator wholesale —
   // seams are held to the same rules as any compiled design.
+  const auto t_validate = std::chrono::steady_clock::now();
+  trace::Span validate_span("shard.validate");
   const geom::ValidationReport vr = geom::validate(stitched.geometry);
+  validate_span.end();
+  result.shard.validate_s = seconds_since(t_validate);
   constexpr std::size_t kMaxReported = 16;
   for (std::size_t i = 0; i < vr.issues.size() && i < kMaxReported; ++i)
     result.shard.issues.push_back("validate: [" + vr.issues[i].rule + "] " +

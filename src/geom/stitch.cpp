@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <queue>
 #include <sstream>
@@ -265,12 +266,16 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
                  StitchResult& res) {
   const int gap = std::max(1, options.seam_gap);
 
-  // Window layout along +x and global extents for the pin plane.
+  // Window layout along +x and global extents for the pin plane. Window
+  // w's slot is the x span [slot_start[w], slot_start[w + 1]): its staged
+  // cells and the gap after it.
   std::vector<int> off(windows.size(), 0);
+  std::vector<int> slot_start(windows.size(), 0);
   int cursor = 0;
   int max_y = 0, min_z = 0, max_z = 0;
   for (std::size_t w = 0; w < windows.size(); ++w) {
     const Box3 bb = windows[w].geometry->bounding_box();
+    slot_start[w] = cursor;
     off[w] = cursor - std::min(0, bb.lo.x);
     cursor = off[w] + (bb.empty() ? 1 : bb.hi.x + 1) + gap;
     if (!bb.empty()) {
@@ -380,18 +385,34 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
     return -1;
   };
 
-  // Carve seams serially in (seam, line-rank) order. `comp_cells` keeps
-  // every component's cell list at its DSU root (seam paths included),
-  // merged small-into-root on unite, so building a carve's pass-through
-  // set costs O(|component|) instead of rescanning every staged cell —
-  // the difference between seconds and minutes at hundreds of crossings.
+  // Carve seams serially in (seam, line-rank) order. `comp_segs` keeps
+  // every primal component's segments at its DSU root (seam paths
+  // included), merged into the root on unite and bucketed by window slot,
+  // so a carve's pass-through set reads only the slots its search region
+  // spans. A component chains across every seam stitched so far; without
+  // the buckets each carve would rescan the whole chain. A seam segment
+  // that spans several slots is filed under each.
+  const auto slot_of = [&](int x) {
+    const auto it = std::upper_bound(slot_start.begin(), slot_start.end(), x);
+    return it == slot_start.begin()
+               ? 0
+               : static_cast<int>(it - slot_start.begin()) - 1;
+  };
+  using SlotSegments = std::map<int, std::vector<Segment>>;
   Dsu dsu(srecs.size());
   std::vector<std::pair<std::size_t, std::vector<Segment>>> stitch_segs;
-  std::vector<std::vector<Vec3>> comp_cells(srecs.size());
-  for (std::size_t d = 0; d < srecs.size(); ++d)
-    for (std::size_t j = 0; j < srecs[d].count; ++j)
-      for_each_cell(sarena[srecs[d].first + j],
-                    [&](Vec3 c) { comp_cells[d].push_back(c); });
+  std::vector<SlotSegments> comp_segs(srecs.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const std::size_t end =
+        w + 1 < windows.size() ? defect_base[w + 1] : srecs.size();
+    for (std::size_t d = defect_base[w]; d < end; ++d) {
+      if (srecs[d].type != DefectType::Primal) continue;  // never an endpoint
+      const auto first =
+          sarena.begin() + static_cast<std::ptrdiff_t>(srecs[d].first);
+      comp_segs[d][static_cast<int>(w)].assign(
+          first, first + static_cast<std::ptrdiff_t>(srecs[d].count));
+    }
+  }
   std::vector<Vec3> pass_list;
   for (std::size_t w = 0; w + 1 < windows.size(); ++w) {
     std::unordered_map<int, Vec3> outs;
@@ -439,7 +460,8 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
       // matters when a carry cell sits enclosed by its module's own loop.
       // The components chain across every seam stitched so far, but the
       // search never leaves the widest attempt's region, so only cells
-      // inside it are kept (the rest of a chain can be arbitrarily long).
+      // inside it are kept, read from the slots its x range spans (the
+      // rest of a chain can be arbitrarily long).
       Box3 max_region{
           {off[w], -1 - max_up, std::min(min_z, pin.z) - 1 - max_up},
           {off[w + 1] + windows[w + 1].geometry->bounding_box().hi.x,
@@ -448,9 +470,18 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
       const std::size_t rp = dsu.find(static_cast<std::size_t>(pi));
       const std::size_t rq = dsu.find(static_cast<std::size_t>(qi));
       pass_list.clear();
+      const int slot_lo = slot_of(max_region.lo.x);
+      const int slot_hi = slot_of(max_region.hi.x);
       for (const std::size_t r : {rp, rq}) {
-        for (const Vec3 c : comp_cells[r])
-          if (max_region.contains(c)) pass_list.push_back(c);
+        const SlotSegments& slots = comp_segs[r];
+        for (auto it = slots.lower_bound(slot_lo);
+             it != slots.end() && it->first <= slot_hi; ++it)
+          for (const Segment& seg : it->second) {
+            if (!max_region.intersects(seg.box())) continue;
+            for_each_cell(seg, [&](Vec3 c) {
+              if (max_region.contains(c)) pass_list.push_back(c);
+            });
+          }
         if (rq == rp) break;
       }
       for (const Vec3 c : pass_list) space.pass_insert(c);
@@ -487,20 +518,24 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
 
         std::vector<Vec3> path = leg1;
         path.insert(path.end(), leg2.begin() + 1, leg2.end());
-        stitch_segs.emplace_back(static_cast<std::size_t>(pi),
-                                 path_to_segments(path));
+        std::vector<Segment> segs = path_to_segments(path);
         dsu.unite(static_cast<std::size_t>(pi), static_cast<std::size_t>(qi));
         const std::size_t root = dsu.find(static_cast<std::size_t>(pi));
         for (const std::size_t r : {rp, rq})
           if (r != root) {
-            comp_cells[root].insert(comp_cells[root].end(),
-                                    comp_cells[r].begin(),
-                                    comp_cells[r].end());
-            comp_cells[r].clear();
-            comp_cells[r].shrink_to_fit();
+            for (auto& [slot, from] : comp_segs[r]) {
+              std::vector<Segment>& into = comp_segs[root][slot];
+              into.insert(into.end(), from.begin(), from.end());
+            }
+            comp_segs[r].clear();
           }
-        comp_cells[root].insert(comp_cells[root].end(), path.begin(),
-                                path.end());
+        for (const Segment& seg : segs) {
+          const Box3 b = seg.box();
+          for (int k = slot_of(b.lo.x); k <= slot_of(b.hi.x); ++k)
+            comp_segs[root][k].push_back(seg);
+        }
+        stitch_segs.emplace_back(static_cast<std::size_t>(pi),
+                                 std::move(segs));
         res.seam_cells += static_cast<std::int64_t>(added.size());
         res.interface_pins.push_back(pin);
         ++res.stitches;

@@ -1,6 +1,8 @@
 #include "geom/validate.h"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -34,11 +36,28 @@ bool boxes_touch_or_overlap(const Box3& a, const Box3& b) {
 /// True when `p` lies on one of the first `upto` segments of `d` — i.e.
 /// the collision is the defect overlapping *itself* (shared corner cells
 /// of adjacent segments), which is legal and common (canonical rails,
-/// stitched seams).
+/// stitched seams). Scans backwards: the shared corner is almost always
+/// on the directly preceding segment, so even a chained defect of
+/// thousands of segments usually answers in one box test.
 bool cell_on_earlier_segment(const DefectView& d, std::size_t upto, Vec3 p) {
-  for (std::size_t j = 0; j < upto; ++j)
+  for (std::size_t j = upto; j-- > 0;)
     if (d.segments[j].box().contains(p)) return true;
   return false;
+}
+
+/// A box tagged with its input index, for x-sorted sweeps.
+struct IndexedBox {
+  Box3 box;
+  std::size_t index;
+};
+
+/// Sort by lo.x: a sweep then stops at the first box starting past the
+/// x range of interest.
+void sort_by_lo_x(std::vector<IndexedBox>& boxes) {
+  std::sort(boxes.begin(), boxes.end(),
+            [](const IndexedBox& a, const IndexedBox& b) {
+              return a.box.lo.x < b.box.lo.x;
+            });
 }
 
 /// Reference V3 for one sublattice: the original hash-map pass. Emits the
@@ -106,6 +125,26 @@ bool v3_grid_pass(const GeomDescription& g, DefectType type,
   return conflict;
 }
 
+/// Connected pieces of a defect: segments whose boxes touch (Chebyshev
+/// gap 0) or overlap belong to the same piece. Swept in lo.x order, so
+/// only pairs whose x ranges come within one cell are tested (any other
+/// pair has a gap along x); the count does not depend on the order of
+/// the unions.
+std::size_t connected_pieces(std::span<const Segment> segments) {
+  std::vector<IndexedBox> by_x;
+  by_x.reserve(segments.size());
+  for (std::size_t j = 0; j < segments.size(); ++j)
+    by_x.push_back({segments[j].box(), j});
+  sort_by_lo_x(by_x);
+  UnionFind uf(segments.size());
+  for (std::size_t a = 0; a < by_x.size(); ++a)
+    for (std::size_t b = a + 1;
+         b < by_x.size() && by_x[b].box.lo.x <= by_x[a].box.hi.x + 1; ++b)
+      if (boxes_touch_or_overlap(by_x[a].box, by_x[b].box))
+        uf.unite(by_x[a].index, by_x[b].index);
+  return uf.component_count();
+}
+
 }  // namespace
 
 std::string ValidationReport::summary() const {
@@ -141,16 +180,10 @@ ValidationReport validate(const GeomDescription& g) {
       }
     }
     if (!aligned) continue;
-    // Connectivity: segments whose boxes touch (Chebyshev gap 0) or overlap
-    // belong to the same connected structure.
-    UnionFind uf(d.segments.size());
-    for (std::size_t a = 0; a < d.segments.size(); ++a)
-      for (std::size_t b = a + 1; b < d.segments.size(); ++b)
-        if (boxes_touch_or_overlap(d.segments[a].box(), d.segments[b].box()))
-          uf.unite(a, b);
-    if (uf.component_count() != 1)
+    const std::size_t pieces = connected_pieces(d.segments);
+    if (pieces != 1)
       fail("V2", "defect " + std::to_string(i) + " is disconnected (" +
-                     std::to_string(uf.component_count()) + " pieces)");
+                     std::to_string(pieces) + " pieces)");
   }
 
   // V3: same-type cell-sharing across distinct defects. Exception: two
@@ -213,15 +246,33 @@ ValidationReport validate(const GeomDescription& g) {
 
   // V5: defect cells inside box interiors (the cell adjacent to the box
   // face where the injected state exits is outside the extent, so plain
-  // containment is the right test).
+  // containment is the right test). Boxes are swept in lo.x order: a
+  // segment spanning [x0, x1] can only meet a box starting in
+  // [x0 - widest box span, x1]. Hits are sorted back into box order, so
+  // issues come out by defect, then segment, then box index.
+  std::vector<IndexedBox> boxes_by_x;
+  int widest = 0;
+  for (std::size_t b = 0; b < g.boxes().size(); ++b) {
+    const Box3 e = g.boxes()[b].extent();
+    boxes_by_x.push_back({e, b});
+    widest = std::max(widest, e.hi.x - e.lo.x);
+  }
+  sort_by_lo_x(boxes_by_x);
+  std::vector<std::size_t> hits;
   for (std::size_t i = 0; i < g.defects().size(); ++i) {
     for (const Segment& s : g.defect(i).segments) {
-      for (std::size_t b = 0; b < g.boxes().size(); ++b) {
-        if (g.boxes()[b].extent().intersects(s.box())) {
-          std::ostringstream os;
-          os << "defect " << i << " enters box " << b;
-          fail("V5", os.str());
-        }
+      const Box3 sb = s.box();
+      auto it = std::lower_bound(
+          boxes_by_x.begin(), boxes_by_x.end(), sb.lo.x - widest,
+          [](const IndexedBox& b, int x) { return b.box.lo.x < x; });
+      hits.clear();
+      for (; it != boxes_by_x.end() && it->box.lo.x <= sb.hi.x; ++it)
+        if (it->box.intersects(sb)) hits.push_back(it->index);
+      std::sort(hits.begin(), hits.end());
+      for (const std::size_t b : hits) {
+        std::ostringstream os;
+        os << "defect " << i << " enters box " << b;
+        fail("V5", os.str());
       }
     }
   }

@@ -22,10 +22,11 @@
 //    `dirty_from`. Positions strictly before the watermark keep their
 //    slot, footprint, and coordinates, because a B*-tree packs in preorder
 //    and a node's position depends only on the nodes packed before it.
-//  - `pack_update()` replays the cached prefix into the contour (contour
-//    raises are deterministic given their arguments, so replay reproduces
-//    the exact contour state), then resumes the preorder DFS, doing real
-//    packing work only for suffix nodes. The repacked suffix is returned
+//  - `pack_update()` walks the preorder DFS once: cached prefix nodes
+//    replay their contour raises (raises are deterministic given their
+//    arguments, so replay reproduces the exact contour state) and feed
+//    their cached coordinates to their children; real packing work is
+//    done only for suffix nodes. The repacked suffix is returned
 //    as a delta so callers can update downstream state proportionally to
 //    the disturbance, not the layer size.
 //  - Cached positions of suffix slots may be stale between packs; the
@@ -306,23 +307,16 @@ const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint) {
     return delta;
   }
   // Preorder positions [0, keep) kept their slots, footprints, and
-  // coordinates; replay their contour raises verbatim (a raise is a pure
-  // function of its arguments and prior state, so the replayed contour is
-  // bit-identical to the original one at position `keep`).
+  // coordinates. One preorder DFS visits them first, in position order:
+  // each replays its contour raise verbatim (a raise is a pure function of
+  // its arguments and prior state, so the replayed contour is
+  // bit-identical to the original one at position `keep`) and feeds its
+  // cached geometry to its children; suffix nodes then pack for real.
   const int keep = std::min(from, n);
   detail::Contour& contour = scratch_.contour;
   contour.reset();
   int width = 0;
   int depth = 0;
-  for (int i = 0; i < keep; ++i) {
-    const SlotPack& c = st.packed[static_cast<std::size_t>(
-        st.order[static_cast<std::size_t>(i)])];
-    contour.set(c.x, c.x + c.w, c.z + c.d);
-    width = std::max(width, c.x + c.w);
-    depth = std::max(depth, c.z + c.d);
-  }
-  // Resume the preorder DFS; prefix nodes only refresh bookkeeping and
-  // feed their cached geometry to their children.
   st.order.resize(static_cast<std::size_t>(n));
   std::vector<Frame>& stack = scratch_.stack;
   stack.clear();
@@ -344,6 +338,9 @@ const BStarTree::PackDelta& BStarTree::pack_update(FootprintFn&& footprint) {
       TQEC_ASSERT(footprint(s.item).w == c.w && footprint(s.item).d == c.d,
                   "footprint changed without mark_item_dirty");
 #endif
+      contour.set(c.x, c.x + c.w, c.z + c.d);
+      width = std::max(width, c.x + c.w);
+      depth = std::max(depth, c.z + c.d);
       st.order[static_cast<std::size_t>(position)] = f.slot;
       ++position;
       if (s.right >= 0) stack.push_back({s.right, c.x});

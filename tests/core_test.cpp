@@ -16,6 +16,7 @@
 #include "compress/dual_bridging.h"
 #include "core/compiler.h"
 #include "core/paper_tables.h"
+#include "core/shard.h"
 #include "geom/canonical.h"
 #include "geom/validate.h"
 #include "icm/workload.h"
@@ -398,6 +399,39 @@ TEST(CompileTest, StatsJsonV2EmbedsMetricsWhenTracingEnabled) {
   }
   trace::reset_metrics();
   trace::reset_events();
+}
+
+TEST(CompileTest, ShardedStatsTimeTheStitchAndItsValidate) {
+  icm::LayeredWorkloadSpec spec;
+  spec.name = "long_8x12_t1_c2";
+  spec.data_lines = 8;
+  spec.layers = 12;
+  spec.t_per_layer = 1;
+  spec.cnots_per_layer = 2;
+  spec.seed = 7;
+  CompileOptions opt;
+  opt.seed = 7;
+  ShardOptions shard;
+  shard.window = 4;
+  trace::set_enabled(true);
+  trace::reset_metrics();
+  trace::reset_events();
+  const CompileResult r =
+      compile_sharded(icm::make_layered_workload(spec), opt, shard);
+  trace::set_enabled(false);
+  const std::string events = trace::chrome_trace_json();
+  trace::reset_metrics();
+  trace::reset_events();
+
+  ASSERT_TRUE(r.shard.enabled);
+  EXPECT_TRUE(r.routed_legal);
+  EXPECT_GT(r.shard.stitches, 0);
+  EXPECT_GT(r.shard.stitch_s, 0);
+  EXPECT_GT(r.shard.validate_s, 0);
+  EXPECT_NE(events.find("\"shard.stitch\""), std::string::npos);
+  EXPECT_NE(events.find("\"shard.validate\""), std::string::npos);
+  const json::Value doc = json::parse(stats_json(r));
+  visit_shard_fields(ExpectParsedBack{doc.at("shard")}, r.shard);
 }
 
 TEST(CompileTest, TracingDoesNotChangeResults) {

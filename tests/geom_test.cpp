@@ -3,8 +3,14 @@
 // structural validator, and Gauss linking numbers.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <unordered_map>
+
+#include "common/rng.h"
+#include "common/union_find.h"
 #include "core/paper_tables.h"
 #include "geom/canonical.h"
+#include "geom/cell_grid.h"
 #include "geom/geometry.h"
 #include "geom/linking.h"
 #include "geom/validate.h"
@@ -161,6 +167,256 @@ TEST(ValidateTest, ValidateOrThrow) {
   g.add_box({BoxKind::YBox, {0, 0, 0}, -1});
   g.add_box({BoxKind::YBox, {0, 0, 0}, -1});
   EXPECT_THROW(validate_or_throw(g), TqecError);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the validator as it was before its sweeps, kept verbatim — V2
+// tests every segment pair of a defect, the V3 self-overlap test scans a
+// defect's segments from its first, and V5 tests every segment against
+// every box. `validate` must report exactly what this does.
+
+template <typename Fn>
+void oracle_for_each_cell(const Segment& s, Fn&& fn) {
+  Vec3 step{0, 0, 0};
+  const Vec3 d = s.b - s.a;
+  if (d.x != 0) step = {d.x > 0 ? 1 : -1, 0, 0};
+  else if (d.y != 0) step = {0, d.y > 0 ? 1 : -1, 0};
+  else if (d.z != 0) step = {0, 0, d.z > 0 ? 1 : -1};
+  for (Vec3 p = s.a;; p += step) {
+    fn(p);
+    if (p == s.b) break;
+  }
+}
+
+bool oracle_on_earlier_segment(const DefectView& d, std::size_t upto,
+                               Vec3 p) {
+  for (std::size_t j = 0; j < upto; ++j)
+    if (d.segments[j].box().contains(p)) return true;
+  return false;
+}
+
+template <typename Exempt, typename Fail>
+void oracle_v3_hash_pass(const GeomDescription& g, DefectType type,
+                         std::unordered_map<Vec3, int>& cells,
+                         Exempt&& exempt, Fail&& fail) {
+  const bool primal = type == DefectType::Primal;
+  for (std::size_t i = 0; i < g.defects().size(); ++i) {
+    const DefectView d = g.defect(i);
+    if (d.type != type) continue;
+    for (const Segment& s : d.segments) {
+      oracle_for_each_cell(s, [&](Vec3 p) {
+        const auto [it, inserted] = cells.emplace(p, static_cast<int>(i));
+        if (primal) {
+          if (!inserted && it->second != static_cast<int>(i)) {
+            std::ostringstream os;
+            os << "primal defects " << it->second << " and " << i
+               << " share cell " << p;
+            fail("V3", os.str());
+            it->second = static_cast<int>(i);
+          }
+        } else {
+          if (!inserted && it->second != static_cast<int>(i) && !exempt(p)) {
+            std::ostringstream os;
+            os << "dual defects " << it->second << " and " << i
+               << " share cell " << p;
+            fail("V3", os.str());
+          }
+          it->second = static_cast<int>(i);
+        }
+      });
+    }
+  }
+}
+
+template <typename Exempt>
+bool oracle_v3_grid_conflict(const GeomDescription& g, DefectType type,
+                             OccupancyGrid& occ, Exempt&& exempt) {
+  std::vector<Vec3> collisions;
+  for (std::size_t i = 0; i < g.defects().size(); ++i) {
+    const DefectView d = g.defect(i);
+    if (d.type != type) continue;
+    for (std::size_t j = 0; j < d.segments.size(); ++j) {
+      collisions.clear();
+      occ.set_segment(plane_of(type), d.segments[j], &collisions);
+      for (const Vec3 p : collisions) {
+        if (oracle_on_earlier_segment(d, j, p)) continue;
+        if (type == DefectType::Dual && exempt(p)) continue;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+ValidationReport oracle_validate(const GeomDescription& g) {
+  ValidationReport report;
+  const auto fail = [&](const char* rule, const std::string& detail) {
+    report.issues.push_back({rule, detail});
+  };
+  for (std::size_t i = 0; i < g.defects().size(); ++i) {
+    const DefectView d = g.defect(i);
+    if (d.segments.empty()) {
+      fail("V2", "defect " + std::to_string(i) + " has no segments");
+      continue;
+    }
+    bool aligned = true;
+    for (const Segment& s : d.segments) {
+      if (!s.axis_aligned()) {
+        aligned = false;
+        std::ostringstream os;
+        os << "defect " << i << " segment " << s.a << "->" << s.b
+           << " not axis-aligned";
+        fail("V1", os.str());
+      }
+    }
+    if (!aligned) continue;
+    UnionFind uf(d.segments.size());
+    for (std::size_t a = 0; a < d.segments.size(); ++a)
+      for (std::size_t b = a + 1; b < d.segments.size(); ++b)
+        if (d.segments[a].box().inflated(1).intersects(d.segments[b].box()))
+          uf.unite(a, b);
+    if (uf.component_count() != 1)
+      fail("V2", "defect " + std::to_string(i) + " is disconnected (" +
+                     std::to_string(uf.component_count()) + " pieces)");
+  }
+
+  static constexpr Vec3 kFaces[6] = {{1, 0, 0},  {-1, 0, 0}, {0, 1, 0},
+                                     {0, -1, 0}, {0, 0, 1},  {0, 0, -1}};
+  Box3 bb;
+  for (const DefectView d : g.defects()) bb = bb.merged(d.bounding_box());
+  OccupancyGrid occ(bb, 2);
+  const bool primal_conflict = oracle_v3_grid_conflict(
+      g, DefectType::Primal, occ, [](Vec3) { return false; });
+  const bool dual_conflict =
+      !primal_conflict &&
+      oracle_v3_grid_conflict(g, DefectType::Dual, occ, [&](Vec3 p) {
+        if (occ.test(kPrimalPlane, p)) return true;
+        for (const Vec3 step : kFaces)
+          if (occ.test(kPrimalPlane, p + step)) return true;
+        return false;
+      });
+  if (primal_conflict || dual_conflict) {
+    std::unordered_map<Vec3, int> primal_cells;
+    std::unordered_map<Vec3, int> dual_cells;
+    oracle_v3_hash_pass(g, DefectType::Primal, primal_cells,
+                        [](Vec3) { return false; }, fail);
+    oracle_v3_hash_pass(
+        g, DefectType::Dual, dual_cells,
+        [&](Vec3 p) {
+          if (primal_cells.count(p) != 0) return true;
+          for (const Vec3 step : kFaces)
+            if (primal_cells.count(p + step) != 0) return true;
+          return false;
+        },
+        fail);
+  }
+
+  for (std::size_t a = 0; a < g.boxes().size(); ++a)
+    for (std::size_t b = a + 1; b < g.boxes().size(); ++b)
+      if (g.boxes()[a].extent().intersects(g.boxes()[b].extent()))
+        fail("V4", "boxes " + std::to_string(a) + " and " +
+                       std::to_string(b) + " overlap");
+
+  for (std::size_t i = 0; i < g.defects().size(); ++i)
+    for (const Segment& s : g.defect(i).segments)
+      for (std::size_t b = 0; b < g.boxes().size(); ++b)
+        if (g.boxes()[b].extent().intersects(s.box()))
+          fail("V5", "defect " + std::to_string(i) + " enters box " +
+                         std::to_string(b));
+  return report;
+}
+
+/// Random soup in a cube of side `side`: random-walk defects of both
+/// types, a few of them broken into disconnected pieces, plus boxes,
+/// some dropped on a defect cell so several segments cross them.
+GeomDescription random_soup(std::uint64_t seed) {
+  Rng rng(seed);
+  const int side = rng.range(5, 40);
+  const auto cell = [&] {
+    return Vec3{rng.range(0, side), rng.range(0, side), rng.range(0, side)};
+  };
+  GeomDescription g("soup" + std::to_string(seed));
+  std::vector<Vec3> used;
+  const int defects = rng.range(1, 14);
+  for (int i = 0; i < defects; ++i) {
+    Defect d;
+    d.type = rng.range(0, 1) ? DefectType::Primal : DefectType::Dual;
+    d.source_id = i;
+    const bool broken = rng.chance(0.08);
+    Vec3 at = cell();
+    const int steps = rng.range(1, 24);
+    for (int k = 0; k < steps; ++k) {
+      if (broken && k > 0 && rng.chance(0.25)) at = cell();
+      Vec3 to = at;
+      const int axis = rng.range(0, 2);
+      int& c = axis == 0 ? to.x : axis == 1 ? to.y : to.z;
+      c += rng.range(0, 6) * (rng.range(0, 1) ? 1 : -1);
+      d.segments.push_back(rng.range(0, 1) ? Segment{at, to}
+                                           : Segment{to, at});
+      used.push_back(to);
+      at = to;
+    }
+    g.add_defect(d);
+  }
+  const int boxes = rng.range(0, 3);
+  for (int b = 0; b < boxes; ++b) {
+    const BoxKind kind = rng.range(0, 1) ? BoxKind::YBox : BoxKind::ABox;
+    const Vec3 origin = rng.chance(0.5)
+                            ? used[static_cast<std::size_t>(rng.range(
+                                  0, static_cast<int>(used.size()) - 1))] -
+                                  Vec3{1, 1, 1}
+                            : cell();
+    g.add_box({kind, origin, -1});
+  }
+  return g;
+}
+
+TEST(ValidateOracleTest, RandomSoupsMatchTheAllPairsOracle) {
+  int flagged = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const GeomDescription g = random_soup(seed);
+    const std::string expected = oracle_validate(g).summary();
+    EXPECT_EQ(validate(g).summary(), expected) << "seed " << seed;
+    if (expected != "valid") ++flagged;
+  }
+  // The soups exercise the issue paths, not only clean geometries.
+  EXPECT_GT(flagged, 100);
+}
+
+TEST(ValidateOracleTest, LongSnakeMatchesTheAllPairsOracle) {
+  // One 20000-segment defect of unit steps, serpentine in the z = 0
+  // plane (rows along x, two cells apart), as a stitch chains windows
+  // into one defect; then boxes on it and a two-piece primal defect.
+  GeomDescription g("snake");
+  Defect snake;
+  snake.type = DefectType::Primal;
+  Vec3 at{0, 0, 0};
+  int dir = 1;
+  while (snake.segments.size() < 20000) {
+    for (int k = 0; k < 100 && snake.segments.size() < 20000; ++k) {
+      const Vec3 to = at + Vec3{dir, 0, 0};
+      snake.segments.push_back({at, to});
+      at = to;
+    }
+    for (int k = 0; k < 2 && snake.segments.size() < 20000; ++k) {
+      const Vec3 to = at + Vec3{0, 1, 0};
+      snake.segments.push_back({at, to});
+      at = to;
+    }
+    dir = -dir;
+  }
+  g.add_defect(snake);
+  Defect pieces;
+  pieces.type = DefectType::Primal;
+  pieces.segments.push_back({{-5, 0, 3}, {-5, 50, 3}});
+  pieces.segments.push_back({{-5, 60, 3}, {-5, 90, 3}});
+  g.add_defect(pieces);
+  g.add_box({BoxKind::YBox, {10, 10, -1}, -1});
+  g.add_box({BoxKind::ABox, {60, 200, -2}, -1});
+  g.add_box({BoxKind::YBox, {-6, 40, 2}, -1});
+  const ValidationReport report = validate(g);
+  EXPECT_EQ(report.summary(), oracle_validate(g).summary());
+  EXPECT_FALSE(report.ok());
 }
 
 class CanonicalVolumeTest : public ::testing::TestWithParam<std::size_t> {};

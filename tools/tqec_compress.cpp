@@ -230,12 +230,12 @@ int run_pipeline(const icm::IcmCircuit& circuit, CliOptions opt) {
   if (result.shard.enabled) {
     std::printf("shard: %d windows (%d resumed, %d reseeded), "
                 "%d crossings, %d stitches, "
-                "%lld seam cells, stitch %.2fs\n",
+                "%lld seam cells, stitch %.2fs, validate %.3fs\n",
                 result.shard.windows_total, result.shard.windows_resumed,
                 result.shard.windows_reseeded,
                 result.shard.crossings, result.shard.stitches,
                 static_cast<long long>(result.shard.seam_cells),
-                result.shard.stitch_s);
+                result.shard.stitch_s, result.shard.validate_s);
     for (const std::string& issue : result.shard.issues)
       std::printf("shard issue: %s\n", issue.c_str());
   }

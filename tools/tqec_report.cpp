@@ -247,9 +247,10 @@ void render_shard(const Value& stats) {
     std::printf("    %.0f windows reseeded to unblock seams\n",
                 num_or(*shard, "windows_reseeded", 0));
   std::printf("    %.0f crossings -> %.0f stitches, %.0f seam cells, "
-              "stitch %.3fs\n",
+              "stitch %.3fs, validate %.3fs\n",
               num_or(*shard, "crossings", 0), num_or(*shard, "stitches", 0),
-              num_or(*shard, "seam_cells", 0), num_or(*shard, "stitch_s", 0));
+              num_or(*shard, "seam_cells", 0), num_or(*shard, "stitch_s", 0),
+              num_or(*shard, "validate_s", 0));
   if (const Value* volumes = shard->find("window_volumes");
       volumes != nullptr && volumes->is_array() && !volumes->array.empty()) {
     const std::vector<double> ys = numbers_of(*volumes);
