@@ -346,10 +346,9 @@ RoutingResult Router::run() {
       break;
     }
     present_factor = next_present;
-    // Doom test: this late, a negotiation still this far from legal never
-    // gets there, so a caller with a fallback stops paying for it.
-    if (opt_.abandon_doomed && result.iterations >= kDoomIteration &&
-        overused >= kDoomOverused) {
+    // Doom test: a negotiation this far from legal this late never gets
+    // there, so a caller with a fallback stops paying for it.
+    if (opt_.abandon_doomed && doomed(result.iterations, overused)) {
       result.abandoned = true;
       break;
     }

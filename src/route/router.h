@@ -58,15 +58,26 @@ inline constexpr double kPresentBase = 2.0;
 inline constexpr double kPresentMax = 1e9;
 
 /// Doom test (RouteOptions::abandon_doomed): the run is abandoned at the
-/// end of the first negotiation iteration >= kDoomIteration that leaves at
-/// least kDoomOverused overused cells. Calibrated on the paper benchmarks
-/// (see DESIGN.md, "Whitespace escalation"): past iteration 6, a level that
-/// goes on to route legally has at most 1 overused cell, a doomed one at
-/// least 9. Every level they abandon there is one core::compile discards
-/// anyway, so they change no kept result and the checkpoint fingerprint
-/// omits them.
+/// end of the first negotiation iteration i >= kDoomFirstIteration that
+/// leaves at least kDoomOverused << max(0, kDoomIteration - i) overused
+/// cells: 32 at i = 3, then 16, 8, and 4 from kDoomIteration on.
+/// Calibrated on recorded whitespace levels of the paper benchmarks (see
+/// DESIGN.md, "Whitespace escalation"): at every i >= 3 a level that goes
+/// on to route legally stays below the threshold (at most 7, 4, 3, then
+/// 2), while most doomed levels pass 32 at i = 3. At i = 2 a legal level
+/// can still have 37. Every level the test abandons is one core::compile
+/// discards anyway, so it changes no kept result and the checkpoint
+/// fingerprint omits it.
+inline constexpr int kDoomFirstIteration = 3;
 inline constexpr int kDoomIteration = 6;
 inline constexpr int kDoomOverused = 4;
+
+/// True when a negotiation that leaves `overused` cells overused at the
+/// end of iteration `iteration` (1-based) is to be abandoned.
+constexpr bool doomed(int iteration, int overused) {
+  return iteration >= kDoomFirstIteration &&
+         overused >= kDoomOverused << std::max(0, kDoomIteration - iteration);
+}
 
 struct RouteOptions {
   std::uint64_t seed = 1;
@@ -87,11 +98,11 @@ struct RouteOptions {
   /// the caller decide (core::compile divides its `--jobs` budget across
   /// concurrent place+route attempts; plain route_nets treats 0 as 1).
   int threads = 0;
-  /// Give up on a negotiation that the doom test (kDoomIteration,
-  /// kDoomOverused) marks as hopeless: the run returns legal == false and
-  /// abandoned == true, without hard-block repair. Meant for a run whose
-  /// caller has a fallback: core::compile sets it for the y-gap 0
-  /// whitespace level only, which escalates to y-gap 1 when illegal.
+  /// Give up on a negotiation that the doom test (doomed()) marks as
+  /// hopeless: the run returns legal == false and abandoned == true,
+  /// without hard-block repair. Meant for a run whose caller has a
+  /// fallback: core::compile sets it for the y-gap 0 whitespace level
+  /// only, which escalates to y-gap 1 when illegal.
   bool abandon_doomed = false;
   /// Inert: warm-start chaining across restart attempts is gone. Kept
   /// only because perfbench's replay still names it (and so takes its

@@ -55,17 +55,24 @@ Fabric::Fabric(const place::NodeSet& nodes, const place::Placement& placement,
   const std::ptrdiff_t dy = static_cast<std::ptrdiff_t>(dims_.z) * dims_.x;
   strides_ = {dx, -dx, dy, -dy, dz, -dz};
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3 p = cell_at(i);
-    std::uint8_t mask = edge_mask_[i];
-    for (int d = 0; d < 6; ++d) {
-      const Vec3 q = p + kNeighbours[static_cast<std::size_t>(d)];
-      if (!inside(q)) continue;
-      if ((edge_mask_[index(q)] & (kBlockedBit | kModuleBit)) == 0)
-        mask = static_cast<std::uint8_t>(mask | (1u << d));
-    }
-    edge_mask_[i] = mask;
-  }
+  // One sweep in storage order: a neighbour exists iff the loop
+  // coordinate is off that face, and sits at i + stride(d).
+  std::size_t i = 0;
+  for (int y = 0; y < dims_.y; ++y)
+    for (int z = 0; z < dims_.z; ++z)
+      for (int x = 0; x < dims_.x; ++x, ++i) {
+        const bool has[6] = {x + 1 < dims_.x, x > 0, y + 1 < dims_.y,
+                             y > 0,           z + 1 < dims_.z, z > 0};
+        std::uint8_t mask = edge_mask_[i];
+        for (int d = 0; d < 6; ++d) {
+          if (!has[d]) continue;
+          const auto q = static_cast<std::size_t>(
+              static_cast<std::ptrdiff_t>(i) + stride(d));
+          if ((edge_mask_[q] & (kBlockedBit | kModuleBit)) == 0)
+            mask = static_cast<std::uint8_t>(mask | (1u << d));
+        }
+        edge_mask_[i] = mask;
+      }
 
   cost_.resize(n);
   for (std::size_t i = 0; i < n; ++i) refresh_cost(i);
