@@ -3,18 +3,12 @@
 // Environment knobs:
 //   REPRO_BENCH_SET = quick | full   (default full: all eight benchmarks;
 //                                     quick: the four smallest)
-//   REPRO_EFFORT    = <float>        (SA/router effort multiplier, default 1)
+//   REPRO_EFFORT    = <float>        (SA effort multiplier, default 1)
 //   REPRO_SEED      = <int>          (pipeline seed, default 7)
 //   REPRO_JOBS      = <int>          (worker threads for parallel restarts;
 //                                     default 1, 0 = hardware concurrency)
 //   REPRO_PLACE_RESTARTS = <int>     (independent place+route attempts,
 //                                     best legal wins; default 1)
-//   REPRO_PLACE_REPLICAS = <int>     (parallel-tempering chains per SA
-//                                     placement; default 1 = classic
-//                                     single chain; changes results)
-//   REPRO_PLACE_THREADS  = <int>     (worker threads per SA placement;
-//                                     default 0 = split REPRO_JOBS across
-//                                     attempts; never changes results)
 //   REPRO_STATS     = 1              (print each run's per-stage
 //                                     observability report as JSON)
 //   REPRO_TRACE_JSON = <path>        (micro_pipeline only: enable tracing
@@ -54,16 +48,6 @@ inline int place_restarts_from_env() {
   return env != nullptr ? std::atoi(env) : 1;
 }
 
-inline int place_replicas_from_env() {
-  const char* env = std::getenv("REPRO_PLACE_REPLICAS");
-  return env != nullptr ? std::atoi(env) : 1;
-}
-
-inline int place_threads_from_env() {
-  const char* env = std::getenv("REPRO_PLACE_THREADS");
-  return env != nullptr ? std::atoi(env) : 0;
-}
-
 /// Benchmarks to run. Paper tables default to all eight; the extension
 /// benches (fig15, ablations) default to the four smallest since they run
 /// the full pipeline several times per row. REPRO_BENCH_SET overrides both.
@@ -89,8 +73,6 @@ inline core::CompileResult run_mode(const icm::IcmCircuit& circuit,
   opt.effort = effort_from_env();
   opt.jobs = jobs_from_env();
   opt.place_restarts = place_restarts_from_env();
-  opt.place.replicas = place_replicas_from_env();
-  opt.place.threads = place_threads_from_env();
   opt.emit_geometry = false;
   const core::CompileResult result = core::compile(circuit, opt);
   const char* stats_env = std::getenv("REPRO_STATS");

@@ -1,23 +1,15 @@
-// Google-benchmark coverage of the SA placer's packing kernel and
-// tempering schedule:
+// Google-benchmark coverage of the SA placer's packing kernel:
 //
-//   PlacePack                      whole-placement time of the single-
-//                                  chain annealer with the dirty-suffix
-//                                  incremental pack;
-//   PlaceThreads/N                 4-replica parallel tempering at N
-//                                  worker threads (the CI bench-smoke
-//                                  sweep; wall-clock gains need real
-//                                  cores, results are bit-identical
-//                                  regardless);
+//   PlacePack                      whole-placement time of the annealer
+//                                  with the dirty-suffix incremental pack;
 //   PlacePaperRow/G                a paper row: rd84_142's seed-7 Full
 //                                  node set at y-gap G (0 and 1, the two
 //                                  whitespace levels a compile anneals).
 //
-// PlacePack and PlaceThreads place the 64-qubit SA workload; every node
-// set is built once outside the timed region, so the numbers are pure
-// placement. Counters (volume, moves, repacked nodes per move) are
-// reported for the last run of each variant; PlacePaperRow adds SA moves
-// per second.
+// PlacePack places the 64-qubit SA workload; every node set is built once
+// outside the timed region, so the numbers are pure placement. Counters
+// (volume, moves, repacked nodes per move) are reported for the last run
+// of each variant; PlacePaperRow adds SA moves per second.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -86,31 +78,20 @@ void run_place(benchmark::State& state, const place::PlaceOptions& opt,
   state.counters["moves"] = moves;
   state.counters["repacked_per_move"] =
       moves > 0 ? static_cast<double>(last.repacked_nodes) / moves : 0;
-  state.counters["exchanges"] = static_cast<double>(last.exchanges_accepted);
 }
 
 void BM_PlacePack(benchmark::State& state) {
   place::PlaceOptions opt;
   opt.seed = 7;
-  opt.threads = 1;
-  run_place(state, opt);
-}
-
-void BM_PlaceThreads(benchmark::State& state) {
-  place::PlaceOptions opt;
-  opt.seed = 7;
-  opt.replicas = 4;
-  opt.threads = static_cast<int>(state.range(0));
   run_place(state, opt);
 }
 
 void BM_PlacePaperRow(benchmark::State& state) {
   place::PlaceOptions opt;
   opt.seed = 7;
-  opt.threads = 1;
   opt.layer_y_gap = static_cast<int>(state.range(0));
   run_place(state, opt, rd84_nodes());
-  // One chain on one thread, so CPU time is the anneal's own time.
+  // The anneal runs on the calling thread, so CPU time is its own time.
   state.counters["moves_per_s"] = benchmark::Counter(
       state.counters["moves"].value * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
@@ -119,12 +100,6 @@ void BM_PlacePaperRow(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_PlacePack)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PlaceThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlacePaperRow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

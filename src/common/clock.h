@@ -1,5 +1,4 @@
-// Steady-clock stage timing shared by the compiler, the service facade,
-// and the sharded compile.
+// Steady-clock seconds: the one timer behind the stage and phase timings.
 #pragma once
 
 #include <chrono>

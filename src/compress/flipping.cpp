@@ -1,10 +1,10 @@
 #include "compress/flipping.h"
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -186,9 +186,7 @@ PrimalBridging bridge_primal_best(const PdGraph& graph,
   parallel_for(static_cast<std::size_t>(restarts), jobs, [&](std::size_t r) {
     const auto t0 = std::chrono::steady_clock::now();
     candidates[r] = bridge_primal(graph, ishape, seeds[r]);
-    restart_s[r] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    restart_s[r] = seconds_since(t0);
   });
 
   // Deterministic reduction: scan in restart order with a strict-less key,

@@ -261,11 +261,11 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   trace::Span place_route_span("pipeline.place_route");
 
   // One whitespace escalation level of an attempt: place with `y_gap`
-  // free planes between layers, then route, on `threads` workers (an
-  // explicit --place-threads / --route-threads wins). Thread counts never
-  // change results, so every split of the jobs budget is a pure
-  // wall-clock heuristic. A level handed a `stop` token returns early once
-  // it fires, with a result that must be discarded.
+  // free planes between layers, then route on `threads` workers (an
+  // explicit --route-threads wins). Thread counts never change results,
+  // so every split of the jobs budget is a pure wall-clock heuristic. A
+  // level handed a `stop` token returns early once it fires, with a
+  // result that must be discarded.
   struct Level {
     place::Placement placement;
     route::RoutingResult routing;
@@ -281,7 +281,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     place_opt.seed = seed;
     place_opt.effort *= options.effort;
     place_opt.layer_y_gap = std::max(place_opt.layer_y_gap, y_gap);
-    if (place_opt.threads == 0) place_opt.threads = threads;
     lv.placement = place_modules(nodes, place_opt, stop);
     lv.place_s = seconds_since(t_stage);
     if (stop != nullptr && stop->cancelled()) return lv;
@@ -334,11 +333,13 @@ CompileResult compile(const icm::IcmCircuit& circuit,
           static_cast<double>(a.stats.sa_repacked_nodes) /
           static_cast<double>(
               std::max(1, a.stats.sa_accepted + a.stats.sa_rejected));
-      // Moves/sec of the kept level's placement over that level's own
-      // place time; purely diagnostic, never affects results.
+      // Moves (accepted + rejected) per second of the kept level's
+      // placement over that level's own place time; purely diagnostic,
+      // never affects results.
       if (lv.place_s > 0)
         a.stats.sa_moves_per_sec =
-            static_cast<double>(a.placement.iterations_run) / lv.place_s;
+            static_cast<double>(a.stats.sa_accepted + a.stats.sa_rejected) /
+            lv.place_s;
     };
     // Cooperative cancellation before the attempt (and, through y-gap 0's
     // stop token below, before y-gap 1). The attempt just stops early
@@ -461,7 +462,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
         result.timings);
     trace::gauge_set("route.parallel_efficiency",
                      sel.route_parallel_efficiency);
-    trace::gauge_set("place.sa_replicas", sel.sa_replicas);
     trace::gauge_set("place.sa_moves_per_sec", sel.sa_moves_per_sec);
     if (options.emit_geometry) publish_geom_gauges(result.geom);
     trace::gauge_set("place.sa_repacked_per_move", sel.sa_repacked_per_move);
@@ -527,13 +527,6 @@ void write_value(json::Writer& w, const std::vector<place::SaSample>& curve) {
   w.end_array().key("accept_rate").begin_array();
   for (const place::SaSample& s : curve) w.value(s.accept_rate);
   w.end_array().end_object();
-}
-
-void write_value(json::Writer& w,
-                 const std::vector<std::vector<place::SaSample>>& curves) {
-  w.begin_array();
-  for (const auto& curve : curves) write_value(w, curve);
-  w.end_array();
 }
 
 void write_value(json::Writer& w, const std::vector<int>& values) {

@@ -40,7 +40,7 @@ enum class PipelineMode : std::uint8_t { Full, DualOnly, ModularOnly };
 struct CompileOptions {
   PipelineMode mode = PipelineMode::Full;
   std::uint64_t seed = 7;
-  /// Multiplier on the SA iteration budget (and other effort knobs).
+  /// Multiplier on the SA iteration budget; nothing else scales with it.
   double effort = 1.0;
   /// f-value dual-segment planning (eq. 5); disable for the Fig. 15
   /// "no planning" ablation.
@@ -124,15 +124,11 @@ struct CompileOptions {
   X(int, sa_iterations, 0, placement, iterations_run)                        \
   X(int, sa_accepted, 0, placement, moves_accepted)                          \
   X(int, sa_rejected, 0, placement, moves_rejected)                          \
-  /* SA engine (see place::Placement): tempering schedule counters and the */ \
-  /* incremental-packing work metric, also per move (accepted + rejected) */ \
-  X(int, sa_replicas, 1, placement, replicas)                                \
-  X(int, sa_selected_replica, 0, placement, selected_replica)                \
+  /* SA engine (see place::Placement): the incremental-packing work */     \
+  /* metric, also per move (a move is accepted + rejected) */               \
   X(std::int64_t, sa_repacked_nodes, 0, placement, repacked_nodes)           \
   X(double, sa_repacked_per_move, 0, loop, sa_repacked_per_move)             \
   X(double, sa_moves_per_sec, 0, loop, sa_moves_per_sec)                     \
-  X(std::int64_t, sa_exchanges_attempted, 0, placement, exchanges_attempted) \
-  X(std::int64_t, sa_exchanges_accepted, 0, placement, exchanges_accepted)   \
   /* PathFinder (final routing): iterations, overuse, nets rerouted, full */ \
   /* sweeps, A*-queue traffic, hard-block repair outcomes */                 \
   X(int, route_iterations, 0, routing, iterations)                           \
@@ -153,15 +149,12 @@ struct CompileOptions {
   X(std::int64_t, route_window_misses, 0, routing, window_misses)
 
 /// Time-series of one attempt, with the same source columns: nets rerouted
-/// and overused cells per PathFinder iteration, the SA convergence curve
-/// (one sample per temperature batch), and every tempering replica's curve
-/// by ladder position (sa_replica_curves[sa_selected_replica] == sa_curve).
+/// and overused cells per PathFinder iteration, and the SA convergence curve
+/// (one sample per temperature batch).
 #define TQEC_ATTEMPT_SERIES(X)                                               \
   X(std::vector<int>, route_reroutes_per_iter, {}, routing, reroutes_per_iter) \
   X(std::vector<int>, route_overused_per_iter, {}, routing, overused_per_iter) \
-  X(std::vector<place::SaSample>, sa_curve, {}, placement, sa_curve)         \
-  X(std::vector<std::vector<place::SaSample>>, sa_replica_curves, {},        \
-    placement, replica_curves)
+  X(std::vector<place::SaSample>, sa_curve, {}, placement, sa_curve)
 
 /// Visitor callback writing each visited scalar as a "name": value member
 /// of the open JSON object: visit_geom_fields(JsonMembers{w}, geom).

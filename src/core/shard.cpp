@@ -52,9 +52,9 @@ struct WindowOutcome {
 // Content hashing (stage-cache discipline: Digest128 over canonical text)
 
 /// Every result-affecting compile option, serialized canonically. Thread
-/// counts (jobs, place.threads, route.threads, shard threads) are
-/// excluded: they never change results, so a resume with a different
-/// worker count must still hit.
+/// counts (jobs, route.threads, shard threads) are excluded: they never
+/// change results, so a resume with a different worker count must still
+/// hit.
 std::string options_fingerprint(const CompileOptions& o,
                                 const ShardOptions& shard) {
   std::ostringstream os;
@@ -67,15 +67,14 @@ std::string options_fingerprint(const CompileOptions& o,
      << "|attempts=" << o.place_restarts;
   const place::PlaceOptions& p = o.place;
   // Removed fields print the values they always had (automatic layers and
-  // iterations, volume weight 1, HPWL wire model, warm-start chaining on)
-  // and fields that became constants print those, so existing checkpoint
-  // names still resume.
+  // iterations, volume weight 1, HPWL wire model, one tempering chain at
+  // stagger 1.6, warm-start chaining on) and fields that became constants
+  // print those, so existing checkpoint names still resume.
   os << "|p.layers=0|p.alpha=1|p.beta=" << place::kBetaWire
      << "|p.wire=0|p.iters=0|p.effort=" << p.effort
      << "|p.t0=" << place::kT0Fraction << "|p.cool=" << place::kCooling
      << "|p.batch=" << p.batch << "|p.ygap=" << p.layer_y_gap
-     << "|p.replicas=" << p.replicas
-     << "|p.stagger=" << place::kReplicaStagger;
+     << "|p.replicas=1|p.stagger=1.6000000000000001";
   const route::RouteOptions& r = o.route;
   os << "|r.margin=" << r.margin << "|r.maxit=" << r.max_iterations
      << "|r.hist=" << route::kHistoryIncrement
@@ -115,7 +114,7 @@ void write_vec3(std::ostream& out, Vec3 v) {
 /// Record format version, written in the `tqecck` header line. Bump it
 /// whenever a field list the record writes changes: a record of another
 /// version fails soft (its window recompiles) instead of misreading.
-constexpr std::string_view kCheckpointVersion = "4";
+constexpr std::string_view kCheckpointVersion = "5";
 
 // The `counts`, `timings` and `attempt` lines hold every field of their
 // list, in list order (bools as 0/1, doubles at 17 significant digits, so

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
+
+#include "common/clock.h"
 
 namespace tqec::geom {
 
@@ -279,9 +280,7 @@ OccupancyGrid build_occupancy(const GeomDescription& g, GridBuildStats* stats,
     for (const Segment& s : d.segments) occ.set_segment(plane, s);
   }
   if (stats != nullptr) {
-    stats->build_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+    stats->build_s = seconds_since(t0);
     stats->bytes = occ.byte_size();
     stats->dense = occ.dense();
   }

@@ -1,7 +1,6 @@
 #include "geom/stitch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -10,6 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/clock.h"
 #include "geom/cell_grid.h"
 
 namespace tqec::geom {
@@ -365,9 +365,7 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
     }
   }
   if constexpr (Space::kGrid) {
-    res.grid_build_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    res.grid_build_s = seconds_since(t0);
   }
 
   // Resolve a carry cell to the first staged *primal* defect containing it

@@ -1,11 +1,11 @@
 #include "geom/validate.h"
 
 #include <algorithm>
-#include <chrono>
 #include <span>
 #include <sstream>
 #include <unordered_map>
 
+#include "common/clock.h"
 #include "common/union_find.h"
 #include "geom/cell_grid.h"
 
@@ -210,9 +210,7 @@ ValidationReport validate(const GeomDescription& g) {
   const bool dual_conflict =
       !primal_conflict &&
       v3_grid_pass(g, DefectType::Dual, occ, collisions, grid_exempt);
-  report.grid_build_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  report.grid_build_s = seconds_since(t0);
   report.grid_bytes = occ.byte_size();
   if (primal_conflict || dual_conflict) {
     // Conflict found: re-run the hash-map reference pass over both

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/trace.h"
 
 namespace tqec::place {
@@ -23,7 +22,7 @@ struct NetTerm {
   Box3 offsets;
 };
 
-/// Read-only wirelength index shared by every replica: net n's terms are
+/// Read-only wirelength index of a node set: net n's terms are
 /// terms[begin[n], begin[n + 1]), and nets_of_node lists the nets with a
 /// term on each node. Nets with fewer than two pins have no wirelength and
 /// no terms.
@@ -85,11 +84,8 @@ struct NetSpan {
   bool operator==(const NetSpan&) const = default;
 };
 
-/// One annealing chain (replica): the complete mutable SA state plus its
-/// own RNG stream and ladder temperature. Chains never touch each other's
-/// state while running, so replicas can anneal concurrently; every
-/// cross-chain decision (replica exchange, winner selection) happens
-/// serially in place_modules under a thread-count-independent order.
+/// The annealing chain: the complete mutable SA state plus its RNG stream
+/// and temperature.
 class Chain {
  public:
   struct LayerCache {
@@ -98,24 +94,25 @@ class Chain {
     int height = 0;
   };
 
-  Chain(const NodeSet& nodes, const PlaceOptions& opt,
-        const WireIndex& wires)
+  /// Build the initial layout on `layer_count` layers and start the
+  /// schedule at t0 = max(1, kT0Fraction * initial cost), drawing from
+  /// Rng(opt.seed).
+  Chain(const NodeSet& nodes, const PlaceOptions& opt, const WireIndex& wires,
+        int layer_count)
       : nodes_(nodes),
         opt_(opt),
         wires_(wires),
-        node_count_(nodes.node_count()) {}
-
-  void init(int layer_count) {
+        node_count_(nodes.node_count()),
+        rng_(opt.seed) {
     build_initial(layer_count);
-    volume_ = layout_volume();
+    initial_volume_ = layout_volume();
     full_wire_recompute();
-    wire_ = total_wire_;
-    cost_ = cost_of(volume_);
-    initial_volume_ = volume_;
+    cost_ = cost_of(initial_volume_);
     best_cost_ = cost_;
     best_layers_.resize(layers_.size());
     best_dirty_.assign(layers_.size(), 1);
     save_best();
+    temperature_ = std::max(1.0, kT0Fraction * cost_);
   }
 
   void run_steps(int count) {
@@ -128,7 +125,7 @@ class Chain {
   /// rotate, lone-node relocate) defers its cooling step and sample to the
   /// next boundary — the original annealer's schedule, kept so fixed-seed
   /// placements (and the committed Table 2/3 volumes) are reproduced
-  /// move-for-move at replicas == 1.
+  /// move-for-move.
   void run_batch(int count) {
     run_steps(count);
     steps_since_sample_ += count;
@@ -164,33 +161,8 @@ class Chain {
     steps_since_sample_ = 0;
   }
 
-  /// Exchange configurations with another chain (replica exchange): the
-  /// layouts and their derived caches migrate, the ladder temperature, RNG
-  /// stream, curve, counters, and best state stay with the lane.
-  void swap_config(Chain& other) {
-    std::swap(layers_, other.layers_);
-    std::swap(cache_, other.cache_);
-    std::swap(layer_of_node_, other.layer_of_node_);
-    std::swap(rotated_, other.rotated_);
-    std::swap(plane_x_, other.plane_x_);
-    std::swap(plane_z_, other.plane_z_);
-    std::swap(layer_base_, other.layer_base_);
-    std::swap(spans_, other.spans_);
-    std::swap(span_weight_, other.span_weight_);
-    std::swap(planar_total_, other.planar_total_);
-    std::swap(net_stamp_, other.net_stamp_);
-    std::swap(stamp_, other.stamp_);
-    std::swap(total_wire_, other.total_wire_);
-    std::swap(cost_, other.cost_);
-    std::swap(volume_, other.volume_);
-    std::swap(wire_, other.wire_);
-    // Every layer now differs from the lane's saved best.
-    std::fill(best_dirty_.begin(), best_dirty_.end(), 1);
-    std::fill(other.best_dirty_.begin(), other.best_dirty_.end(), 1);
-  }
-
-  /// Restore the best layout this lane ever held and emit the geometric
-  /// part of the Placement.
+  /// Restore the best layout the chain ever held and emit the Placement
+  /// with the chain's SA statistics.
   Placement materialize() {
     for (std::size_t l = 0; l < layers_.size(); ++l) {
       layers_[l].restore(std::move(best_layers_[l]));
@@ -230,17 +202,12 @@ class Chain {
     placement.wirelength = static_cast<double>(final_wire);
     placement.layers = static_cast<int>(layers_.size());
     placement.initial_volume = initial_volume_;
+    placement.moves_accepted = accepted_;
+    placement.moves_rejected = rejected_;
+    placement.repacked_nodes = repacked_nodes_;
+    placement.sa_curve = std::move(sa_curve_);
     return placement;
   }
-
-  double temperature_ = 1.0;
-  Rng rng_{0};
-  double cost_ = 0;
-  double best_cost_ = 0;
-  int accepted_ = 0;
-  int rejected_ = 0;
-  std::int64_t repacked_nodes_ = 0;
-  std::vector<SaSample> sa_curve_;
 
  private:
   Footprint footprint(int node) const {
@@ -428,7 +395,7 @@ class Chain {
   /// reaches every other net through span_weight_ alone. Everything it
   /// overwrites goes to the journal, which rollback_wire() restores.
   /// Returns the new cost.
-  double evaluate(std::int64_t* volume_out) {
+  double evaluate() {
     journal_base_ = layer_base_;
     journal_total_ = total_wire_;
     journal_nets_.clear();
@@ -446,7 +413,6 @@ class Chain {
       }
     }
     resum_wire();
-    *volume_out = volume;
     return cost_of(volume);
   }
 
@@ -464,7 +430,7 @@ class Chain {
     }
   }
 
-  /// Record the current layout as the lane's best: only the layers that
+  /// Record the current layout as the chain's best: only the layers that
   /// changed since the previous record are copied.
   void save_best() {
     for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -599,15 +565,12 @@ class Chain {
     }
     if (!applied) return false;
 
-    std::int64_t cand_volume = 0;
-    const double cand_cost = evaluate(&cand_volume);
+    const double cand_cost = evaluate();
     const double delta = cand_cost - cost_;
     const bool accept =
         delta <= 0 || rng_.uniform() < std::exp(-delta / temperature_);
     if (accept) {
       cost_ = cand_cost;
-      volume_ = cand_volume;
-      wire_ = total_wire_;
       ++accepted_;
       const int other_layer = move == Move::Swap ? lb : target_layer;
       best_dirty_[static_cast<std::size_t>(la)] = 1;
@@ -661,6 +624,15 @@ class Chain {
   const WireIndex& wires_;
   int node_count_ = 0;
 
+  double temperature_ = 1.0;
+  Rng rng_;
+  double cost_ = 0;
+  double best_cost_ = 0;
+  int accepted_ = 0;
+  int rejected_ = 0;
+  std::int64_t repacked_nodes_ = 0;
+  std::vector<SaSample> sa_curve_;
+
   std::vector<BStarTree> layers_;
   std::vector<LayerCache> cache_;
   std::vector<int> layer_of_node_;
@@ -678,22 +650,20 @@ class Chain {
   std::vector<int> net_stamp_;
   int stamp_ = 0;
   std::int64_t total_wire_ = 0;
-  std::int64_t volume_ = 0;
-  std::int64_t wire_ = 0;
   std::int64_t initial_volume_ = 0;
   // accepted_ at the last convergence sample, and iterations run since.
   int accepted_at_sample_ = 0;
   int steps_since_sample_ = 0;
   bool last_step_applied_ = true;
 
-  // The best layout this lane held; best_dirty_ flags the layers that may
+  // The best layout the chain held; best_dirty_ flags the layers that may
   // differ from their saved copy (set by every accepted move).
   std::vector<BStarTree::Snapshot> best_layers_;
   std::vector<std::uint8_t> best_dirty_;
   std::vector<int> best_layer_of_node_;
   std::vector<bool> best_rotated_;
 
-  // Per-move scratch (lane-local, so replicas need no shared slots).
+  // Per-move scratch.
   std::vector<int> changed_nodes_;
   BStarTree::Snapshot saved_a_;
   BStarTree::Snapshot saved_b_;
@@ -725,97 +695,34 @@ Placement place_modules(const NodeSet& nodes, const PlaceOptions& options,
 
   const WireIndex wires = build_wire_index(nodes);
 
-  // Equal annealing budget per chain regardless of node count: the
-  // super-module reduction then shows up as more exploration per node —
-  // the paper's argument for why primal bridging makes the SA converge
-  // better on large designs (Sec. 4).
+  // Equal annealing budget regardless of node count: the super-module
+  // reduction then shows up as more exploration per node — the paper's
+  // argument for why primal bridging makes the SA converge better on large
+  // designs (Sec. 4).
   const int iterations = std::max(
       1, static_cast<int>(std::clamp(node_count * 400, 2000, 60000) *
                           options.effort));
   const int batch =
       options.batch > 0 ? options.batch : std::max(64, node_count / 2);
 
-  const int replica_count = std::max(1, options.replicas);
-  const int threads = std::max(1, options.threads);
-
-  // All chains start from the same deterministic initial layout; chain 0
-  // keeps the classic RNG stream (replicas == 1 is move-for-move the old
-  // single-chain annealer), hotter chains get salted derived streams.
-  std::vector<Chain> chains;
-  chains.reserve(static_cast<std::size_t>(replica_count));
-  chains.emplace_back(nodes, options, wires);
-  chains[0].init(layer_count);
-  for (int r = 1; r < replica_count; ++r) chains.push_back(chains[0]);
-
-  const double t0 = std::max(1.0, kT0Fraction * chains[0].cost_);
-  std::uint64_t lane_seed_state = options.seed ^ 0x706c616365726570ull;
-  for (int r = 0; r < replica_count; ++r) {
-    chains[static_cast<std::size_t>(r)].rng_ =
-        r == 0 ? Rng(options.seed) : Rng(splitmix64(lane_seed_state));
-    chains[static_cast<std::size_t>(r)].temperature_ =
-        t0 * std::pow(kReplicaStagger, r);
-  }
-  std::uint64_t exchange_seed_state = options.seed ^ 0x74656d70657278ull;
-  Rng exchange_rng(splitmix64(exchange_seed_state));
-  std::int64_t exchanges_attempted = 0;
-  std::int64_t exchanges_accepted = 0;
-
-  // Temperature batches run lock-step across chains; replica-exchange
-  // decisions happen serially between batches on alternating adjacent
-  // pairs, consuming only the dedicated exchange stream — results are
-  // bit-identical for any `threads`.
-  const int full_batches = iterations / batch;
-  const int tail = iterations % batch;
+  Chain chain(nodes, options, wires, layer_count);
   const auto stop_requested = [stop] {
     return stop != nullptr && stop->cancelled();
   };
-  for (int b = 0; b < full_batches && !stop_requested(); ++b) {
-    parallel_for(chains.size(), threads,
-                 [&](std::size_t r) { chains[r].run_batch(batch); });
-    for (int r = b & 1; r + 1 < replica_count; r += 2) {
-      Chain& cold = chains[static_cast<std::size_t>(r)];
-      Chain& hot = chains[static_cast<std::size_t>(r + 1)];
-      ++exchanges_attempted;
-      const double arg = (1.0 / cold.temperature_ - 1.0 / hot.temperature_) *
-                         (cold.cost_ - hot.cost_);
-      if (arg >= 0 || exchange_rng.uniform() < std::exp(arg)) {
-        cold.swap_config(hot);
-        ++exchanges_accepted;
-      }
-    }
-  }
-  if (tail > 0 && !stop_requested())
-    parallel_for(chains.size(), threads,
-                 [&](std::size_t r) { chains[r].run_steps(tail); });
+  const int full_batches = iterations / batch;
+  for (int b = 0; b < full_batches && !stop_requested(); ++b)
+    chain.run_batch(batch);
+  const int tail = iterations % batch;
+  if (tail > 0 && !stop_requested()) chain.run_steps(tail);
 
-  // Winner: lowest best-ever cost, ties to the coldest lane.
-  int selected = 0;
-  for (int r = 1; r < replica_count; ++r)
-    if (chains[static_cast<std::size_t>(r)].best_cost_ <
-        chains[static_cast<std::size_t>(selected)].best_cost_)
-      selected = r;
-
-  Placement placement = chains[static_cast<std::size_t>(selected)].materialize();
-  placement.iterations_run = iterations * replica_count;
-  placement.replicas = replica_count;
-  placement.selected_replica = selected;
-  placement.exchanges_attempted = exchanges_attempted;
-  placement.exchanges_accepted = exchanges_accepted;
-  placement.sa_curve = chains[static_cast<std::size_t>(selected)].sa_curve_;
-  placement.replica_curves.reserve(chains.size());
-  for (Chain& chain : chains) {
-    placement.moves_accepted += chain.accepted_;
-    placement.moves_rejected += chain.rejected_;
-    placement.repacked_nodes += chain.repacked_nodes_;
-    placement.replica_curves.push_back(std::move(chain.sa_curve_));
-  }
+  Placement placement = chain.materialize();
+  placement.iterations_run = iterations;
   TQEC_LOG_INFO("placement: nodes=" << nodes.node_count()
                                     << " layers=" << placement.layers
                                     << " volume=" << placement.volume
                                     << " wl=" << placement.wirelength
                                     << " accepted=" << placement.moves_accepted
-                                    << "/" << placement.iterations_run
-                                    << " replicas=" << replica_count);
+                                    << "/" << placement.iterations_run);
   return placement;
 }
 
@@ -824,10 +731,6 @@ void publish_counters(const Placement& placement) {
   trace::counter_add("place.sa_accepted", placement.moves_accepted);
   trace::counter_add("place.sa_rejected", placement.moves_rejected);
   trace::counter_add("place.sa_repacked_nodes", placement.repacked_nodes);
-  trace::counter_add("place.sa_exchanges_attempted",
-                     placement.exchanges_attempted);
-  trace::counter_add("place.sa_exchanges_accepted",
-                     placement.exchanges_accepted);
 }
 
 }  // namespace tqec::place

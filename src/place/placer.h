@@ -27,15 +27,6 @@
 // integer arithmetic, so the tracked cost never drifts from a full
 // recompute (checked builds assert this, and agreement with a per-pin
 // HPWL, at every temperature-batch boundary).
-//
-// Optional parallel tempering: `replicas` > 1 anneals R temperature-
-// staggered chains and swaps their configurations at temperature-batch
-// boundaries (replica exchange). Chains run concurrently on up to
-// `threads` workers, but every cross-chain decision is made serially from
-// a dedicated RNG stream, so results are bit-identical for any thread
-// count — the same determinism contract as `--route-threads`. With
-// `replicas` == 1 the engine is move-for-move identical to the classic
-// single-chain annealer.
 #pragma once
 
 #include <cstdint>
@@ -57,27 +48,19 @@ inline constexpr double kBetaWire = 0.5;
 inline constexpr double kT0Fraction = 0.05;
 /// Temperature multiplier per cooling step.
 inline constexpr double kCooling = 0.97;
-/// Temperature ratio between adjacent chains of the tempering ladder.
-inline constexpr double kReplicaStagger = 1.6;
 
 struct PlaceOptions {
   std::uint64_t seed = 1;
-  /// Scales the SA iteration budget per replica, which is derived from the
-  /// node count (as is the cube-balanced number of 2.5D layers).
+  /// Scales the SA iteration budget, which is derived from the node count
+  /// (as is the cube-balanced number of 2.5D layers).
   double effort = 1.0;
   /// Iterations per temperature step; 0 = automatic.
   int batch = 0;
   /// Free routing plane inserted above every layer (congestion-driven
   /// whitespace; the compiler escalates to 1 when routing cannot legalize).
   int layer_y_gap = 0;
-  /// Parallel-tempering chain count. 1 (default) reproduces the classic
-  /// single-chain annealer exactly; R > 1 adds R-1 hotter chains and
-  /// replica exchange. The *result* depends only on this, never on
-  /// `threads`.
-  int replicas = 1;
-  /// Worker threads for running replicas concurrently; 0 = let the caller
-  /// decide (the compiler splits --jobs across attempts; plain
-  /// place_modules treats 0 as 1). Bit-identical results for any value.
+  /// Inert: the annealer runs one chain on the calling thread. Kept only
+  /// because perfbench's replay still assigns it; delete it with that use.
   int threads = 0;
 };
 
@@ -106,41 +89,31 @@ struct Placement {
   std::int64_t volume = 0;
   double wirelength = 0;
   int layers = 0;
-  /// SA statistics, summed over all replicas. Accepted + rejected can fall
-  /// short of iterations_run: some iterations propose no applicable move
-  /// (e.g. rotating a non-rotatable node) and count as neither.
+  /// SA statistics. Accepted + rejected can fall short of iterations_run:
+  /// some iterations propose no applicable move (e.g. rotating a
+  /// non-rotatable node) and count as neither.
   std::int64_t initial_volume = 0;
   int iterations_run = 0;
   int moves_accepted = 0;
   int moves_rejected = 0;
-  /// Nodes repacked by pack_update across all moves and replicas
-  /// (numerator of the repacked-nodes-per-move diagnostic).
+  /// Nodes repacked by pack_update across all moves (numerator of the
+  /// repacked-nodes-per-move diagnostic).
   std::int64_t repacked_nodes = 0;
-  /// Parallel-tempering schedule statistics (zero when replicas == 1).
-  int replicas = 1;
-  int selected_replica = 0;
-  std::int64_t exchanges_attempted = 0;
-  std::int64_t exchanges_accepted = 0;
-  /// SA convergence curve of the selected replica, one sample per
-  /// temperature batch (always collected — a push_back per batch is free
-  /// next to the batch itself).
+  /// SA convergence curve, one sample per temperature batch (always
+  /// collected — a push_back per batch is free next to the batch itself).
   std::vector<SaSample> sa_curve;
-  /// Convergence curves of every replica, indexed by ladder position
-  /// (replica_curves[selected_replica] == sa_curve).
-  std::vector<std::vector<SaSample>> replica_curves;
 };
 
-/// Place a node set. Deterministic for a fixed seed and replica count,
-/// independent of `threads`. `stop`, when non-null, is polled before every
-/// temperature batch: once it fires the anneal ends there, leaving the
-/// best layout seen so far (core::compile stops a speculative whitespace
+/// Place a node set. Deterministic for a fixed seed. `stop`, when
+/// non-null, is polled before every temperature batch: once it fires the
+/// anneal ends there, leaving the best layout seen so far (core::compile stops a speculative whitespace
 /// level this way; a stopped placement is meant to be discarded).
 Placement place_modules(const NodeSet& nodes, const PlaceOptions& options,
                         const CancelToken* stop = nullptr);
 
 /// Add a placement's SA tallies (iterations, accepted/rejected moves,
-/// repacked nodes, replica exchanges) to the trace counters. place_modules
-/// leaves this to its caller, which knows whether the run counts.
+/// repacked nodes) to the trace counters. place_modules leaves this to its
+/// caller, which knows whether the run counts.
 void publish_counters(const Placement& placement);
 
 }  // namespace tqec::place

@@ -512,10 +512,28 @@ TEST(CompileTest, SpeculativeEscalationMatchesInOrderStats) {
       const PlaceAttemptStats& a = r->timings.attempts[0];
       ASSERT_GT(a.place_s, 0);
       if (y_gap > 0) {
-        EXPECT_GT(a.sa_moves_per_sec, a.sa_iterations / a.place_s);
+        EXPECT_GT(a.sa_moves_per_sec,
+                  (a.sa_accepted + a.sa_rejected) / a.place_s);
       }
     }
   }
+}
+
+// A move is an accepted or rejected proposal (as in sa_repacked_per_move),
+// so moves/sec times the kept level's place time gives back the move
+// count, not the iteration count. 4gt10-v1_81 keeps y-gap 0, whose place
+// time is then the attempt's whole place_s.
+TEST(CompileTest, MovesPerSecCountsMovesNotIterations) {
+  const CompileResult r = compile_mode(
+      icm::make_workload(workload_spec(paper_benchmark("4gt10-v1_81"))),
+      PipelineMode::Full);
+  ASSERT_EQ(r.timings.attempts.size(), 1u);
+  const PlaceAttemptStats& a = r.timings.attempts[0];
+  ASSERT_EQ(a.y_gap, 0);
+  ASSERT_GT(a.place_s, 0);
+  const double moves = a.sa_accepted + a.sa_rejected;
+  ASSERT_LT(moves, a.sa_iterations);
+  EXPECT_NEAR(a.sa_moves_per_sec * a.place_s, moves, 1e-9 * moves);
 }
 
 class EndToEndTest : public ::testing::TestWithParam<std::size_t> {};

@@ -2,7 +2,6 @@
 // super-module node construction, and the SA placer.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <string>
 #include <tuple>
@@ -369,15 +368,12 @@ TEST(PlacerTest, WirelengthMatchesExternalRecompute) {
   struct Case {
     std::uint64_t seed;
     int layer_y_gap;
-    int replicas;
   };
   bool any_rotated = false;
-  for (const Case c : {Case{3, 0, 1}, Case{9, 0, 1}, Case{21, 0, 1},
-                       Case{3, 1, 1}, Case{9, 0, 3}, Case{21, 1, 3}}) {
+  for (const Case c : {Case{3, 0}, Case{9, 0}, Case{21, 0}, Case{3, 1}}) {
     PlaceOptions opt;
     opt.seed = c.seed;
     opt.layer_y_gap = c.layer_y_gap;
-    opt.replicas = c.replicas;
     opt.batch = 32;  // frequent batch boundaries exercise the debug check
     const Placement placement = place_modules(built.nodes, opt);
     std::int64_t wire = 0;
@@ -391,37 +387,10 @@ TEST(PlacerTest, WirelengthMatchesExternalRecompute) {
       wire += (d.x - 1) + (d.y - 1) + (d.z - 1);
     }
     EXPECT_EQ(static_cast<std::int64_t>(placement.wirelength), wire)
-        << "seed " << c.seed << " gap " << c.layer_y_gap << " replicas "
-        << c.replicas;
+        << "seed " << c.seed << " gap " << c.layer_y_gap;
     for (bool r : placement.node_rotated) any_rotated = any_rotated || r;
   }
   EXPECT_TRUE(any_rotated) << "no placement rotated a node";
-}
-
-// Pins one whole tempering trajectory: three replicas with exchange,
-// routing whitespace on, recorded before rejected moves restored their
-// wirelength caches from a journal. A change to the RNG draws, the accept
-// decisions or that restore is expected to move these counters;
-// golden_test covers replicas == 1 only.
-TEST(PlacerTest, ReplicaExchangeTrajectoryIsPinned) {
-  icm::WorkloadSpec spec;
-  spec.qubits = 60;
-  spec.cnots = 90;
-  spec.y_states = 18;
-  spec.a_states = 9;
-  const auto built = build_for(icm::make_workload(spec));
-  PlaceOptions opt;
-  opt.seed = 13;
-  opt.replicas = 3;
-  opt.threads = 2;
-  opt.layer_y_gap = 1;
-  const Placement p = place_modules(built.nodes, opt);
-  EXPECT_EQ(p.volume, 7000);
-  EXPECT_EQ(p.wirelength, 245);
-  EXPECT_EQ(p.moves_accepted, 8222);
-  EXPECT_EQ(p.moves_rejected, 12295);
-  EXPECT_EQ(p.repacked_nodes, 71011);
-  EXPECT_EQ(p.exchanges_accepted, 55);
 }
 
 // A batch whose last move did not materialize defers its cooling step and
@@ -437,27 +406,19 @@ TEST(PlacerTest, AcceptRateStaysAFractionAcrossDeferredSamples) {
   const auto built = build_for(icm::make_workload(spec));
   bool deferred = false;
   for (const std::uint64_t seed : {3u, 9u, 21u}) {
-    for (const int replicas : {1, 3}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " replicas " +
-                   std::to_string(replicas));
-      PlaceOptions opt;
-      opt.seed = seed;
-      opt.replicas = replicas;
-      opt.batch = 32;
-      const Placement p = place_modules(built.nodes, opt);
-      ASSERT_EQ(p.replica_curves.size(), static_cast<std::size_t>(replicas));
-      for (const std::vector<SaSample>& curve : p.replica_curves) {
-        ASSERT_FALSE(curve.empty());
-        for (const SaSample& s : curve) {
-          EXPECT_GE(s.accept_rate, 0.0);
-          EXPECT_LE(s.accept_rate, 1.0);
-        }
-      }
-      const int iterations = p.iterations_run / replicas;
-      if (p.sa_curve.size() <
-          static_cast<std::size_t>(iterations / opt.batch))
-        deferred = true;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PlaceOptions opt;
+    opt.seed = seed;
+    opt.batch = 32;
+    const Placement p = place_modules(built.nodes, opt);
+    ASSERT_FALSE(p.sa_curve.empty());
+    for (const SaSample& s : p.sa_curve) {
+      EXPECT_GE(s.accept_rate, 0.0);
+      EXPECT_LE(s.accept_rate, 1.0);
     }
+    if (p.sa_curve.size() <
+        static_cast<std::size_t>(p.iterations_run / opt.batch))
+      deferred = true;
   }
   EXPECT_TRUE(deferred) << "no run deferred a sample";
 }
@@ -504,10 +465,9 @@ TEST(PlacerTest, FiredStopTokenReturnsBeforeTheFirstBatch) {
   PlaceOptions opt;
   opt.seed = 5;
   opt.batch = 64;
-  opt.replicas = 2;
-  opt.threads = 2;
   const Placement full = place_modules(built.nodes, opt);
   EXPECT_GT(full.moves_accepted + full.moves_rejected, 0);
+  EXPECT_GT(full.repacked_nodes, 0);
 
   CancelToken stop;
   stop.cancel();
@@ -602,25 +562,22 @@ TEST(PlacerTest, UnitNodesLandOnDistinctCells) {
   }
 }
 
-// The SA budget per replica is 400 iterations per node, clamped to
-// [2000, 60000], times the effort; there is no other knob.
+// The SA budget is 400 iterations per node, clamped to [2000, 60000],
+// times the effort; there is no other knob.
 TEST(PlacerTest, IterationBudgetFollowsNodeCountAndEffort) {
   struct Case {
     int nodes;
     double effort;
-    int replicas;
     int want;
   };
-  for (const Case c : {Case{2, 1.0, 1, 2000}, Case{2, 0.5, 1, 1000},
-                       Case{2, 1.0, 3, 6000}, Case{10, 1.0, 1, 4000},
-                       Case{10, 0.25, 2, 2000}, Case{160, 0.01, 1, 600}}) {
+  for (const Case c : {Case{2, 1.0, 2000}, Case{2, 0.5, 1000},
+                       Case{10, 1.0, 4000}, Case{10, 0.25, 1000},
+                       Case{160, 0.01, 600}}) {
     PlaceOptions opt;
     opt.effort = c.effort;
-    opt.replicas = c.replicas;
     const Placement p = place_modules(unit_nodes(c.nodes), opt);
     EXPECT_EQ(p.iterations_run, c.want)
-        << c.nodes << " nodes, effort " << c.effort << ", replicas "
-        << c.replicas;
+        << c.nodes << " nodes, effort " << c.effort;
   }
 }
 
@@ -642,9 +599,8 @@ TEST(PlacerTest, LayerCountIsCubeBalanced) {
   EXPECT_EQ(place_modules(big, opt).layers, 2);
 }
 
-// Each lane of the tempering ladder starts kReplicaStagger times hotter
-// than the one below it, and every sample is one kCooling step colder than
-// the lane's previous sample.
+// The anneal starts at t0 = max(1, kT0Fraction * initial cost), and every
+// sample is one kCooling step colder than the previous one.
 TEST(PlacerTest, TemperatureLadderFollowsScheduleConstants) {
   icm::WorkloadSpec spec;
   spec.qubits = 40;
@@ -654,23 +610,149 @@ TEST(PlacerTest, TemperatureLadderFollowsScheduleConstants) {
   const auto built = build_for(icm::make_workload(spec));
   PlaceOptions opt;
   opt.seed = 9;
-  opt.replicas = 3;
   opt.batch = 32;
   const Placement p = place_modules(built.nodes, opt);
-  ASSERT_EQ(p.replica_curves.size(), 3u);
-  const double t0 = p.replica_curves[0].front().temperature;
-  EXPECT_GE(t0, 1.0);
-  for (std::size_t r = 0; r < p.replica_curves.size(); ++r) {
-    const std::vector<SaSample>& curve = p.replica_curves[r];
-    ASSERT_GT(curve.size(), 1u);
-    EXPECT_DOUBLE_EQ(curve.front().temperature,
-                     t0 * std::pow(kReplicaStagger, static_cast<double>(r)))
-        << "lane " << r;
-    for (std::size_t k = 1; k < curve.size(); ++k)
-      EXPECT_DOUBLE_EQ(curve[k].temperature,
-                       curve[k - 1].temperature * kCooling)
-          << "lane " << r << " sample " << k;
+  const std::vector<SaSample>& curve = p.sa_curve;
+  ASSERT_GT(curve.size(), 1u);
+  EXPECT_GE(curve.front().temperature, 1.0);
+  for (std::size_t k = 1; k < curve.size(); ++k)
+    EXPECT_DOUBLE_EQ(curve[k].temperature, curve[k - 1].temperature * kCooling)
+        << "sample " << k;
+}
+
+// Regression for the demoted per-batch resync: the tracked wirelength is
+// exact integer arithmetic, so the reported value must equal an external
+// integer HPWL recompute to the last bit (EXPECT_EQ, not EXPECT_NEAR). Release and checked builds run the identical arithmetic —
+// the debug cross-check assert is the only difference — so both converge
+// to the same costs by construction, and this pins it.
+TEST(PlacerTest, WirelengthExactlyMatchesIntegerRecompute) {
+  icm::WorkloadSpec spec;
+  spec.qubits = 60;
+  spec.cnots = 90;
+  spec.y_states = 18;
+  spec.a_states = 9;
+  spec.seed = 0;
+  const auto built = build_for(icm::make_workload(spec));
+  for (const std::uint64_t seed : {3, 9, 21}) {
+    PlaceOptions opt;
+    opt.seed = seed;
+    opt.batch = 32;  // frequent batch boundaries exercise the debug check
+    const Placement placement = place_modules(built.nodes, opt);
+    std::int64_t wire = 0;
+    for (const auto& pins : built.nodes.net_pins) {
+      if (pins.size() < 2) continue;
+      Box3 bbox;
+      for (pdgraph::ModuleId m : pins)
+        bbox =
+            bbox.expanded(placement.module_cell[static_cast<std::size_t>(m)]);
+      const Vec3 d = bbox.dims();
+      wire += (d.x - 1) + (d.y - 1) + (d.z - 1);
+    }
+    EXPECT_EQ(placement.wirelength, static_cast<double>(wire))
+        << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// B*-tree incremental packing.
+
+class BStarIncrementalOps : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Property: after any randomized sequence of structural edits and
+/// footprint rotations, pack_update() must produce exactly the placement a
+/// stateless full pack() produces — same extents, same per-item
+/// coordinates — and its delta must only report correct coordinates.
+TEST_P(BStarIncrementalOps, IncrementalPackMatchesFullPack) {
+  Rng rng(GetParam());
+  const int universe = 32;
+  std::vector<Footprint> dims(static_cast<std::size_t>(universe));
+  std::vector<char> rotated(static_cast<std::size_t>(universe), 0);
+  for (auto& d : dims) d = {rng.range(1, 5), rng.range(1, 5)};
+  const auto footprint = [&](int item) {
+    const Footprint& d = dims[static_cast<std::size_t>(item)];
+    return rotated[static_cast<std::size_t>(item)] ? Footprint{d.d, d.w} : d;
+  };
+
+  BStarTree tree;
+  std::set<int> present;
+  for (int step = 0; step < 220; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.35 && static_cast<int>(present.size()) < universe) {
+      int item = rng.range(0, universe - 1);
+      while (present.count(item)) item = (item + 1) % universe;
+      tree.insert(item, rng);
+      present.insert(item);
+    } else if (roll < 0.55 && !present.empty()) {
+      auto it = present.begin();
+      std::advance(it, static_cast<long>(rng.below(present.size())));
+      tree.remove(*it, rng);
+      present.erase(it);
+    } else if (roll < 0.8 && present.size() >= 2) {
+      auto it = present.begin();
+      std::advance(it, static_cast<long>(rng.below(present.size())));
+      const int a = *it;
+      it = present.begin();
+      std::advance(it, static_cast<long>(rng.below(present.size())));
+      const int b = *it;
+      if (a != b) tree.swap_items(a, b);
+    } else if (!present.empty()) {
+      auto it = present.begin();
+      std::advance(it, static_cast<long>(rng.below(present.size())));
+      rotated[static_cast<std::size_t>(*it)] ^= 1;
+      tree.mark_item_dirty(*it);
+    }
+
+    const BStarTree::PackDelta& delta = tree.pack_update(footprint);
+    const PackResult full = tree.pack(footprint);
+    ASSERT_EQ(delta.width, full.width) << "step " << step;
+    ASSERT_EQ(delta.depth, full.depth) << "step " << step;
+    ASSERT_TRUE(tree.pack_cache_clean());
+    EXPECT_EQ(tree.packed_width(), full.width);
+    EXPECT_EQ(tree.packed_depth(), full.depth);
+    std::unordered_map<int, std::pair<int, int>> coord;
+    for (const PackedItem& p : full.placed) {
+      coord.emplace(p.item, std::pair(p.x, p.z));
+      ASSERT_EQ(tree.packed_x(p.item), p.x) << "step " << step;
+      ASSERT_EQ(tree.packed_z(p.item), p.z) << "step " << step;
+    }
+    for (const PackedItem& p : delta.repacked) {
+      ASSERT_TRUE(coord.count(p.item));
+      EXPECT_EQ(coord.at(p.item), std::pair(p.x, p.z)) << "step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BStarIncrementalOps,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u));
+
+/// A perturbation at preorder position k must repack exactly the suffix
+/// [k, n) — on a left chain (preorder position == insertion index) that is
+/// a sharp, deterministic count.
+TEST(BStarIncrementalTest, SuffixDeltaIsProportionalToDisturbance) {
+  const auto unit = [](int) { return Footprint{2, 1}; };
+  BStarTree tree;
+  for (int i = 0; i < 32; ++i) tree.insert_chain(i);
+  EXPECT_EQ(tree.pack_update(unit).repacked.size(), 32u);  // cold pack
+  tree.swap_items(30, 31);
+  EXPECT_EQ(tree.pack_update(unit).repacked.size(), 2u);
+  tree.mark_item_dirty(8);
+  EXPECT_EQ(tree.pack_update(unit).repacked.size(), 24u);
+  // No edits since: the incremental pack is a no-op with cached extents.
+  const BStarTree::PackDelta& idle = tree.pack_update(unit);
+  EXPECT_TRUE(idle.repacked.empty());
+  EXPECT_EQ(idle.width, 64);
+  EXPECT_EQ(idle.depth, 1);
+}
+
+TEST(BStarIncrementalTest, EmptyTreePacksClean) {
+  BStarTree tree;
+  const auto unit = [](int) { return Footprint{1, 1}; };
+  const BStarTree::PackDelta& delta = tree.pack_update(unit);
+  EXPECT_TRUE(delta.repacked.empty());
+  EXPECT_EQ(delta.width, 0);
+  EXPECT_TRUE(tree.pack_cache_clean());
+  EXPECT_EQ(tree.packed_width(), 0);
+  EXPECT_EQ(tree.packed_depth(), 0);
 }
 
 }  // namespace

@@ -393,16 +393,17 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
     expect_one_recompiled();
   }
 
-  // A well-formed record of the previous format version: a `tqecck 3`
-  // header and one more attempt token (version 3 ended the attempt line
-  // with a routing flag that version 4 dropped). It must fail soft and be
-  // rewritten at version 4.
+  // A well-formed record of the previous format version: a `tqecck 4`
+  // header and four more attempt tokens (version 4's attempt line also
+  // held the tempering fields sa_replicas, sa_selected_replica,
+  // sa_exchanges_attempted and sa_exchanges_accepted). It must fail soft
+  // and be rewritten at version 5.
   ASSERT_EQ(rewrite_record(files[0],
                            [](std::vector<std::string>& t) {
                              if (t[0] == "tqecck" && t.size() == 2)
-                               t[1] = "3";
+                               t[1] = "4";
                              else if (t[0] == "attempt" && t.size() > 4)
-                               t.push_back("0");
+                               t.insert(t.end(), {"1", "0", "0", "0"});
                              else
                                return false;
                              return true;
@@ -412,7 +413,7 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
   std::ifstream rewritten(files[0]);
   std::string header;
   std::getline(rewritten, header);
-  EXPECT_EQ(header, "tqecck 4");
+  EXPECT_EQ(header, "tqecck 5");
 }
 
 TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {

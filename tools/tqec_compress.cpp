@@ -20,13 +20,6 @@
 //                              trace-event file (open in Perfetto or
 //                              chrome://tracing; with --jobs=N each worker
 //                              thread gets its own tid row)
-//   --place-replicas=<r>       parallel-tempering chain count for the SA
-//                              placer (default 1 = classic single chain;
-//                              changes results, unlike thread knobs)
-//   --place-threads=<n>        worker threads for running SA replicas
-//                              concurrently (default: divide the --jobs
-//                              budget across concurrent attempts; never
-//                              changes results)
 //   --route-threads=<n>        worker threads for the batched PathFinder
 //                              negotiation (default: divide the --jobs
 //                              budget across concurrent attempts; never
@@ -96,9 +89,8 @@ int usage() {
       "       tqec_compress list\n"
       "options: --mode=full|dual|modular --seed=N --effort=F\n"
       "         --jobs=N --place-restarts=K --stats-json=PATH|-\n"
-      "         --trace-json=PATH --place-replicas=R --place-threads=N\n"
-      "         --route-threads=N --shard-window=K --shard-threads=N\n"
-      "         --checkpoint-dir=PATH\n"
+      "         --trace-json=PATH --route-threads=N --shard-window=K\n"
+      "         --shard-threads=N --checkpoint-dir=PATH\n"
       "         --no-optimize --no-plan --verify\n"
       "         --json=PATH --obj=PATH --svg=PATH --icm=PATH\n");
   return 2;
@@ -132,14 +124,6 @@ bool parse_flag(const std::string& arg, CliOptions& opt) {
   }
   if (auto v = value_of("--place-restarts=")) {
     opt.compile.place_restarts = parse_int(*v, "--place-restarts");
-    return true;
-  }
-  if (auto v = value_of("--place-replicas=")) {
-    opt.compile.place.replicas = parse_int(*v, "--place-replicas");
-    return true;
-  }
-  if (auto v = value_of("--place-threads=")) {
-    opt.compile.place.threads = parse_int(*v, "--place-threads");
     return true;
   }
   if (auto v = value_of("--stats-json=")) return opt.stats_json_path = *v, true;

@@ -143,7 +143,7 @@ void render_attempts(const Value& stats) {
                       sparkline(rate).c_str(), rate.front(), rate.back());
       }
     }
-    // SA engine diagnostics (stats v2 with the tempering placer).
+    // SA engine diagnostics.
     if (a.find("sa_repacked_nodes") != nullptr) {
       const double moves =
           num_or(a, "sa_accepted", 0) + num_or(a, "sa_rejected", 0);
@@ -151,27 +151,6 @@ void render_attempts(const Value& stats) {
       std::printf("    moves/sec %-14.0f repacked nodes/move %.2f\n",
                   num_or(a, "sa_moves_per_sec", 0),
                   moves > 0 ? num_or(a, "sa_repacked_nodes", 0) / moves : 0.0);
-      const double replicas = num_or(a, "sa_replicas", 1);
-      if (replicas > 1) {
-        std::printf("    replicas %-15.0f exchanges %.0f/%.0f accepted "
-                    "(winner r%.0f)\n",
-                    replicas, num_or(a, "sa_exchanges_accepted", 0),
-                    num_or(a, "sa_exchanges_attempted", 0),
-                    num_or(a, "sa_selected_replica", 0));
-        if (const Value* curves = a.find("sa_replica_curves");
-            curves != nullptr && curves->is_array()) {
-          for (std::size_t r = 0; r < curves->array.size(); ++r) {
-            if (!curves->array[r].is_object()) continue;
-            const Value* cost_v = curves->array[r].find("cost");
-            if (cost_v == nullptr) continue;
-            const std::vector<double> cost = numbers_of(*cost_v);
-            if (!cost.empty())
-              std::printf("    replica %-2zu  %s  [%.0f -> %.0f]\n", r,
-                          sparkline(cost, 48).c_str(), cost.front(),
-                          cost.back());
-          }
-        }
-      }
     }
     if (const Value* over = a.find("route_overused_per_iter");
         over != nullptr && over->is_array() && !over->array.empty()) {
