@@ -1,17 +1,20 @@
 // Unit tests for the common substrate: geometry primitives, deterministic
-// RNG, union-find, string helpers, JSON reading and writing, and log
-// formatting.
+// RNG, union-find, string helpers, JSON reading and writing, the
+// steady-clock timer, and log formatting.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cctype>
+#include <chrono>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <unordered_set>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/json.h"
@@ -454,6 +457,19 @@ TEST(Fnv1aTest, Digest128HexIsLoThenHi) {
   d.hi = 0xfedcba9876543210ull;
   EXPECT_EQ(d.hex(), "0123456789abcdeffedcba9876543210");
   EXPECT_EQ(Digest128{}.hex().size(), 32u);
+}
+
+TEST(ClockTest, SecondsSinceIsNonNegativeAndMonotone) {
+  const auto start = std::chrono::steady_clock::now();
+  const double first = seconds_since(start);
+  EXPECT_GE(first, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double second = seconds_since(start);
+  EXPECT_GE(second, first + 0.002);
+  // A start in the future reads negative rather than wrapping.
+  EXPECT_LT(seconds_since(std::chrono::steady_clock::now() +
+                          std::chrono::seconds(1)),
+            0.0);
 }
 
 TEST(LoggingTest, Iso8601UtcNowIsWellFormed) {

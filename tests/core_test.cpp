@@ -536,6 +536,68 @@ TEST(CompileTest, MovesPerSecCountsMovesNotIterations) {
   EXPECT_NEAR(a.sa_moves_per_sec * a.place_s, moves, 1e-9 * moves);
 }
 
+// An attempt record holds the attempt field list and the series list and
+// nothing else, in that order: one SA curve per attempt.
+TEST(CompileTest, StatsJsonAttemptHoldsExactlyTheListedMembers) {
+  CompileOptions opt;
+  opt.place_restarts = 2;
+  const CompileResult r = compile(three_cnot_example(), opt);
+  std::vector<std::string> want;
+  const auto collect = [&want](const char* name, const auto&) {
+    want.emplace_back(name);
+  };
+  visit_attempt_fields(collect, r.timings.attempts[0]);
+  visit_attempt_series(collect, r.timings.attempts[0]);
+  ASSERT_EQ(std::count(want.begin(), want.end(), "sa_curve"), 1);
+
+  const json::Value doc = json::parse(stats_json(r));
+  const json::Value& attempts = doc.at("attempts");
+  ASSERT_EQ(attempts.array.size(), 2u);
+  for (std::size_t k = 0; k < attempts.array.size(); ++k) {
+    SCOPED_TRACE("attempt " + std::to_string(k));
+    std::vector<std::string> got;
+    for (const auto& member : attempts.array[k].object)
+      got.push_back(member.first);
+    EXPECT_EQ(got, want);
+  }
+}
+
+// With tracing on, the SA gauges are the selected attempt's figures, and
+// the SA counters sum every placement the compile ran, so they bound the
+// selected attempt's own counts.
+TEST(CompileTest, TracedSaMetricsAgreeWithTheSelectedAttempt) {
+  trace::set_enabled(true);
+  trace::reset_metrics();
+  trace::reset_events();
+  const CompileResult r = compile_mode(
+      icm::make_workload(workload_spec(paper_benchmark("4gt10-v1_81"))),
+      PipelineMode::Full);
+  trace::set_enabled(false);
+  trace::reset_metrics();
+  trace::reset_events();
+
+  ASSERT_EQ(r.timings.attempts.size(), 1u);
+  const PlaceAttemptStats& a = r.timings.attempts[0];
+  std::unordered_map<std::string, long long> counters;
+  for (const auto& [name, value] : r.metrics.counters) counters[name] = value;
+  std::unordered_map<std::string, double> gauges;
+  for (const auto& [name, value] : r.metrics.gauges) gauges[name] = value;
+
+  ASSERT_TRUE(gauges.count("place.sa_moves_per_sec"));
+  EXPECT_EQ(gauges.at("place.sa_moves_per_sec"), a.sa_moves_per_sec);
+  ASSERT_TRUE(gauges.count("place.sa_repacked_per_move"));
+  EXPECT_EQ(gauges.at("place.sa_repacked_per_move"), a.sa_repacked_per_move);
+  for (const char* name : {"place.sa_iterations", "place.sa_accepted",
+                           "place.sa_rejected", "place.sa_repacked_nodes"})
+    ASSERT_TRUE(counters.count(name)) << name;
+  EXPECT_GE(counters.at("place.sa_iterations"), a.sa_iterations);
+  EXPECT_GE(counters.at("place.sa_accepted"), a.sa_accepted);
+  EXPECT_GE(counters.at("place.sa_rejected"), a.sa_rejected);
+  EXPECT_GE(counters.at("place.sa_repacked_nodes"), a.sa_repacked_nodes);
+  EXPECT_LE(counters.at("place.sa_accepted") + counters.at("place.sa_rejected"),
+            counters.at("place.sa_iterations"));
+}
+
 class EndToEndTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EndToEndTest, LegalValidAndCompressed) {

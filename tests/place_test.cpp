@@ -4,9 +4,11 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "compress/dual_bridging.h"
 #include "compress/flipping.h"
@@ -618,6 +620,87 @@ TEST(PlacerTest, TemperatureLadderFollowsScheduleConstants) {
   for (std::size_t k = 1; k < curve.size(); ++k)
     EXPECT_DOUBLE_EQ(curve[k].temperature, curve[k - 1].temperature * kCooling)
         << "sample " << k;
+}
+
+/// Bit-identical comparison: geometry, every SA counter, and the whole
+/// convergence curve. Doubles compare exactly on purpose: the cost
+/// arithmetic is integer-valued, so any difference is a determinism bug.
+void expect_identical_placement(const Placement& a, const Placement& b) {
+  EXPECT_EQ(a.volume, b.volume);
+  EXPECT_EQ(a.wirelength, b.wirelength);
+  EXPECT_EQ(a.layers, b.layers);
+  EXPECT_EQ(a.initial_volume, b.initial_volume);
+  EXPECT_EQ(a.iterations_run, b.iterations_run);
+  EXPECT_EQ(a.moves_accepted, b.moves_accepted);
+  EXPECT_EQ(a.moves_rejected, b.moves_rejected);
+  EXPECT_EQ(a.repacked_nodes, b.repacked_nodes);
+  EXPECT_EQ(a.node_rotated, b.node_rotated);
+  EXPECT_EQ(a.node_origin, b.node_origin);
+  EXPECT_EQ(a.module_cell, b.module_cell);
+  ASSERT_EQ(a.boxes.size(), b.boxes.size());
+  for (std::size_t i = 0; i < a.boxes.size(); ++i)
+    EXPECT_EQ(a.boxes[i].origin, b.boxes[i].origin) << "box " << i;
+  ASSERT_EQ(a.sa_curve.size(), b.sa_curve.size());
+  for (std::size_t s = 0; s < a.sa_curve.size(); ++s) {
+    EXPECT_EQ(a.sa_curve[s].cost, b.sa_curve[s].cost) << "sample " << s;
+    EXPECT_EQ(a.sa_curve[s].temperature, b.sa_curve[s].temperature);
+    EXPECT_EQ(a.sa_curve[s].accept_rate, b.sa_curve[s].accept_rate);
+  }
+}
+
+// PlaceOptions::threads is inert: the one chain runs on the calling thread
+// whatever it says, so every value gives the same placement.
+TEST(PlacerTest, ThreadsFieldLeavesThePlacementUnchanged) {
+  icm::WorkloadSpec spec;
+  spec.qubits = 40;
+  spec.cnots = 60;
+  spec.y_states = 12;
+  spec.a_states = 6;
+  spec.seed = 9;
+  const auto built = build_for(icm::make_workload(spec));
+  PlaceOptions opt;
+  opt.seed = 9;
+  const Placement base = place_modules(built.nodes, opt);
+  EXPECT_GT(base.moves_accepted, 0);
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    PlaceOptions threaded = opt;
+    threaded.threads = threads;
+    expect_identical_placement(base, place_modules(built.nodes, threaded));
+  }
+}
+
+// place_modules keeps no state between calls, so the compiler may run
+// several placements at once (one per whitespace level or restart). Two
+// concurrent calls must each match the same call made alone.
+TEST(PlacerTest, ConcurrentCallsMatchSerialCalls) {
+  icm::WorkloadSpec spec;
+  spec.qubits = 48;
+  spec.cnots = 72;
+  spec.y_states = 14;
+  spec.a_states = 7;
+  spec.seed = 11;
+  const auto built = build_for(icm::make_workload(spec));
+  PlaceOptions first;
+  first.seed = 11;
+  PlaceOptions second = first;
+  second.seed = 5;
+  second.layer_y_gap = 1;
+  const Placement want_first = place_modules(built.nodes, first);
+  const Placement want_second = place_modules(built.nodes, second);
+  Placement got_first, got_second;
+  std::thread worker(
+      [&] { got_second = place_modules(built.nodes, second); });
+  got_first = place_modules(built.nodes, first);
+  worker.join();
+  {
+    SCOPED_TRACE("seed 11");
+    expect_identical_placement(want_first, got_first);
+  }
+  {
+    SCOPED_TRACE("seed 5, y-gap 1");
+    expect_identical_placement(want_second, got_second);
+  }
 }
 
 // Regression for the demoted per-batch resync: the tracked wirelength is
