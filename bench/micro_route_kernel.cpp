@@ -1,18 +1,9 @@
 // Google-benchmark coverage of the router's search kernel and negotiation
-// schedule:
-//
-//   RouteKernel                      whole-routing time at threads=1 (bucket
-//                                    open list, batched schedule, warm
-//                                    windows);
-//   RouteThreads/N                   batched schedule at N worker threads
-//                                    (the CI bench-smoke sweep; wall-clock
-//                                    gains need real cores, results are
-//                                    bit-identical regardless).
-//
-// All variants route the same placements: mid-size SA workloads placed
-// once per scale outside the timed region, so the numbers are pure
-// routing. Counters (batches, conflicts, queue traffic) are reported for
-// the last run of each variant.
+// schedule: RouteKernel times whole routing runs (bucket open list,
+// batched schedule, warm windows) of one mid-size SA workload, placed once
+// outside the timed region, so the numbers are pure routing. Counters
+// (batches, conflicts, queue traffic, resident bytes) are reported for the
+// last run.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -34,8 +25,8 @@ struct RoutingProblem {
   place::Placement placement;
 };
 
-/// Place a mid-size workload once; every benchmark variant then routes the
-/// identical placement.
+/// Place a mid-size workload once; every run then routes the identical
+/// placement.
 const RoutingProblem& problem() {
   static const RoutingProblem p = [] {
     icm::WorkloadSpec spec;
@@ -61,11 +52,11 @@ const RoutingProblem& problem() {
   return p;
 }
 
-void run_route(benchmark::State& state, const route::RouteOptions& opt) {
+void BM_RouteKernel(benchmark::State& state) {
   const RoutingProblem& p = problem();
   route::RoutingResult last;
   for (auto _ : state) {
-    last = route::route_nets(p.nodes, p.placement, opt);
+    last = route::route_nets(p.nodes, p.placement, route::RouteOptions{});
     benchmark::DoNotOptimize(last.total_wire);
   }
   state.counters["legal"] = last.legal ? 1 : 0;
@@ -74,28 +65,11 @@ void run_route(benchmark::State& state, const route::RouteOptions& opt) {
   state.counters["batches"] = static_cast<double>(last.batches);
   state.counters["conflicts"] = static_cast<double>(last.conflicts_requeued);
   state.counters["nets_per_batch"] = last.parallel_efficiency;
-}
-
-void BM_RouteKernel(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.threads = 1;
-  run_route(state, opt);
-}
-
-void BM_RouteThreads(benchmark::State& state) {
-  route::RouteOptions opt;
-  opt.threads = static_cast<int>(state.range(0));
-  run_route(state, opt);
+  state.counters["resident_bytes"] = static_cast<double>(last.resident_bytes);
 }
 
 }  // namespace
 
 BENCHMARK(BM_RouteKernel)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -80,11 +80,11 @@ inline void parallel_for(std::size_t n, int jobs,
 
 /// Like parallel_for, but fn(slot, i) also receives the worker slot in
 /// [0, workers) running the iteration — slot 0 is always the calling
-/// thread. Slots let iterations own heavyweight per-worker scratch (e.g.
-/// the router's SearchScratch) without sharing: at most one iteration runs
-/// on a slot at any time. The slot an iteration lands on is scheduling-
-/// dependent, so by the reduction rule it must only select *which* scratch
-/// to use, never influence the iteration's result.
+/// thread. Slots let iterations own heavyweight per-worker scratch
+/// without sharing: at most one iteration runs on a slot at any time. The
+/// slot an iteration lands on is scheduling-dependent, so by the reduction
+/// rule it must only select *which* scratch to use, never influence the
+/// iteration's result.
 inline void parallel_for_slots(
     std::size_t n, int jobs,
     const std::function<void(std::size_t, std::size_t)>& fn) {

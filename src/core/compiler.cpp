@@ -261,9 +261,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
   trace::Span place_route_span("pipeline.place_route");
 
   // One whitespace escalation level of an attempt: place with `y_gap`
-  // free planes between layers, then route on `threads` workers (an
-  // explicit --route-threads wins). Thread counts never change results,
-  // so every split of the jobs budget is a pure wall-clock heuristic. A
+  // free planes between layers, then route, both on the calling thread. A
   // level handed a `stop` token returns early once it fires, with a
   // result that must be discarded.
   struct Level {
@@ -272,7 +270,7 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     double place_s = 0;
     double route_s = 0;
   };
-  const auto run_level = [&](std::uint64_t seed, int y_gap, int threads,
+  const auto run_level = [&](std::uint64_t seed, int y_gap,
                              const CancelToken* stop) {
     TQEC_TRACE_SPAN("place_route.level", "y-gap " + std::to_string(y_gap));
     Level lv;
@@ -288,7 +286,6 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     t_stage = std::chrono::steady_clock::now();
     route::RouteOptions route_opt = options.route;
     route_opt.seed = seed;
-    if (route_opt.threads == 0) route_opt.threads = threads;
     // Only y-gap 0 has a fallback level, so only it may give up early.
     route_opt.abandon_doomed = y_gap == 0;
     lv.routing = route::route_nets(nodes, lv.placement, route_opt, stop);
@@ -358,13 +355,12 @@ CompileResult compile(const icm::IcmCircuit& circuit,
     parallel_for(2, budget, [&](std::size_t y) {
       try {
         if (y == 0) {
-          levels[0] = run_level(seeds[k], 0, budget - budget / 2, nullptr);
+          levels[0] = run_level(seeds[k], 0, nullptr);
           if (levels[0].routing.legal || options.cancel.cancelled())
             stop_speculative.cancel();
         } else {
           if (stop_speculative.cancelled()) return;
-          levels[1] = run_level(seeds[k], 1, std::max(1, budget / 2),
-                                &stop_speculative);
+          levels[1] = run_level(seeds[k], 1, &stop_speculative);
         }
       } catch (...) {
         errors[y] = std::current_exception();

@@ -140,13 +140,14 @@ struct CompileOptions {
   X(int, route_repair_awarded, 0, routing, repair_awarded)                   \
   X(int, route_repair_failed, 0, routing, repair_failed)                     \
   /* Batched negotiation: batches, conflict requeues, mean nets per batch */ \
-  /* (pure functions of the schedule, the same for any --route-threads) */   \
   X(int, route_batches, 0, routing, batches)                                 \
   X(int, route_conflicts_requeued, 0, routing, conflicts_requeued)           \
   X(double, route_parallel_efficiency, 0, routing, parallel_efficiency)      \
   /* Warm-window first hits vs. ladder fallbacks */                         \
   X(std::int64_t, route_window_hits, 0, routing, window_hits)                \
-  X(std::int64_t, route_window_misses, 0, routing, window_misses)
+  X(std::int64_t, route_window_misses, 0, routing, window_misses)            \
+  /* Bytes the router held at return: fabric, scratch and open queue */     \
+  X(std::int64_t, route_resident_bytes, 0, routing, resident_bytes)
 
 /// Time-series of one attempt, with the same source columns: nets rerouted
 /// and overused cells per PathFinder iteration, and the SA convergence curve

@@ -52,7 +52,7 @@ struct WindowOutcome {
 // Content hashing (stage-cache discipline: Digest128 over canonical text)
 
 /// Every result-affecting compile option, serialized canonically. Thread
-/// counts (jobs, route.threads, shard threads) are excluded: they never
+/// counts (jobs, shard threads) are excluded: they never
 /// change results, so a resume with a different worker count must still
 /// hit.
 std::string options_fingerprint(const CompileOptions& o,
@@ -114,7 +114,7 @@ void write_vec3(std::ostream& out, Vec3 v) {
 /// Record format version, written in the `tqecck` header line. Bump it
 /// whenever a field list the record writes changes: a record of another
 /// version fails soft (its window recompiles) instead of misreading.
-constexpr std::string_view kCheckpointVersion = "5";
+constexpr std::string_view kCheckpointVersion = "6";
 
 // The `counts`, `timings` and `attempt` lines hold every field of their
 // list, in list order (bools as 0/1, doubles at 17 significant digits, so

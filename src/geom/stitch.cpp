@@ -63,7 +63,10 @@ class HashSpace {
 /// Occupancy + A* bookkeeping, grid flavor: occupancy and pass-through
 /// cells are bit planes of one CellGrid over the merged frame, and the
 /// search keeps g/parent in dense scratch arrays over the carve region
-/// (reset with a fill per search, allocation reused across carves). Every
+/// (allocation reused across carves). A search does not reset them: g is
+/// stored as base_ + g, where each search's base_ lies above every key an
+/// earlier search could store, so a cell is reached iff its key is at
+/// least base_ (an epoch stamp folded into the g word). Every
 /// operation has the exact semantics of HashSpace, so seam paths — and
 /// therefore the stitched geometry — are bit-identical; only the cost per
 /// cell changes (a word load instead of a hash + pointer chase).
@@ -96,14 +99,28 @@ class GridSpace {
     const Vec3 d = region.dims();
     rdy_ = static_cast<std::size_t>(d.y);
     rdz_ = static_cast<std::size_t>(d.z);
-    g_.assign(static_cast<std::size_t>(n), -1);
-    parent_.resize(static_cast<std::size_t>(n));
+    if (g_.size() < static_cast<std::size_t>(n)) {
+      g_.resize(static_cast<std::size_t>(n), 0);
+      parent_.resize(static_cast<std::size_t>(n));
+    }
+    // A search stores g < n, so its keys stay below base_ + n, where the
+    // next search's base starts. Keys would overflow first: clear them.
+    if (next_base_ > std::numeric_limits<std::uint32_t>::max() -
+                         static_cast<std::uint32_t>(n)) {
+      std::fill(g_.begin(), g_.end(), 0u);
+      next_base_ = 1;
+    }
+    base_ = next_base_;
+    next_base_ = base_ + static_cast<std::uint32_t>(n);
   }
-  int g_of(Vec3 c) const { return g_[idx(c)]; }
+  int g_of(Vec3 c) const {
+    const std::uint32_t key = g_[idx(c)];
+    return key >= base_ ? static_cast<int>(key - base_) : -1;
+  }
   Vec3 parent_of(Vec3 c) const { return cell(parent_[idx(c)]); }
   void set_node(Vec3 c, int g, Vec3 parent) {
     const std::size_t i = idx(c);
-    g_[i] = g;
+    g_[i] = base_ + static_cast<std::uint32_t>(g);
     parent_[i] = static_cast<std::int32_t>(idx(parent));
   }
 
@@ -133,8 +150,10 @@ class GridSpace {
   CellGrid grid_;
   Vec3 rlo_;
   std::size_t rdy_ = 1, rdz_ = 1;
-  std::vector<std::int32_t> g_;        // settled cost, -1 = unreached
+  std::vector<std::uint32_t> g_;       // base_ + settled cost
   std::vector<std::int32_t> parent_;   // region index of the parent cell
+  std::uint32_t base_ = 0;             // this search's key of g = 0
+  std::uint32_t next_base_ = 1;        // above every key stored so far
 };
 
 /// Deterministic A* (unit edge costs, Manhattan heuristic) from `start` to

@@ -1,19 +1,18 @@
-// Spatially disjoint net batching for the parallel PathFinder negotiation
-// loop (DESIGN.md §Routing).
+// Spatially disjoint net batching for the PathFinder negotiation loop
+// (DESIGN.md §Routing).
 //
 // Within one negotiation iteration the pending nets are partitioned into
 // batches such that any two nets of a batch have disjoint *declared
 // regions* (the net's pin bounding box inflated by the restricted-search
 // margin, widened to cover its warm search window — the declared region
 // always contains the cells the net's first connect attempts may search).
-// Nets of a batch route concurrently against a read snapshot of the
-// fabric: because their searches are confined to disjoint cell sets,
-// each net's result is independent of its batch-mates and therefore equal
-// to what a serial execution of the same batch sequence would produce —
-// the schedule, and with it the routing result, never depends on the
-// worker count. A search can still escape its declared region through the
+// Nets of a batch are all searched against one snapshot of the fabric
+// before any of them commits: because their searches are confined to
+// disjoint cell sets, each net's result is independent of its
+// batch-mates. A search can still escape its declared region through the
 // failure-inflated retries; the commit phase detects such collisions and
-// requeues the net (router.cpp).
+// requeues the net (router.cpp). The batching orders the commits, so it
+// shapes the routing result.
 //
 // Batch formation is greedy first-fit over the deterministic net order,
 // with a per-batch interval index on the x-axis so the overlap probe

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/trace.h"
 #include "route/net_batcher.h"
 #include "route/search_kernel.h"
@@ -20,16 +19,16 @@ namespace {
 // net_batcher.{h,cpp}. This class owns the PathFinder outer loop:
 //
 //   per iteration: pending nets (deterministic order) -> batches of
-//   disjoint declared regions -> per batch: rip up members, search them
-//   concurrently against the now-frozen fabric, then commit serially in
-//   net order with collision detection (a net whose path lands on a cell
-//   an earlier commit of the same batch just filled to capacity is
-//   requeued and rerouted serially at the end of the iteration).
+//   disjoint declared regions -> per batch: rip up members, search each
+//   against the now-frozen fabric, then commit in net order with
+//   collision detection (a net whose path lands on a cell an earlier
+//   commit of the same batch just filled to capacity is requeued and
+//   rerouted alone at the end of the iteration).
 //
 // Every decision (batch composition, commit order, conflict verdicts,
 // requeue order) is a pure function of the deterministic net order and
-// the fabric state at batch boundaries — never of the worker count — so
-// --route-threads=1 and --route-threads=N are bit-identical.
+// the fabric state at batch boundaries. All searches run on the calling
+// thread with the run's one SearchScratch.
 //
 // Incremental rip-up-and-reroute: from iteration 2 onward only nets that
 // occupy at least one overused cell are rerouted (in the same
@@ -48,8 +47,7 @@ class Router {
   Router(const place::NodeSet& nodes, const place::Placement& placement,
          const RouteOptions& opt, const CancelToken* stop)
       : nodes_(nodes), placement_(placement), opt_(opt),
-        fabric_(nodes, placement, opt.margin),
-        threads_(std::max(1, opt.threads)), stop_(stop) {}
+        fabric_(nodes, placement, opt.margin), stop_(stop) {}
 
   RoutingResult run();
 
@@ -122,7 +120,7 @@ class Router {
   bool route_component(int component, RoutedNet& out) {
     const Box3 window = window_of(out);
     SearchStats stats;
-    const bool ok = route_one_net(fabric_, scratch_[0], nodes_, placement_,
+    const bool ok = route_one_net(fabric_, scratch_, nodes_, placement_,
                                   opt_, component, window, out, stats);
     net_stats_[static_cast<std::size_t>(component)] += stats;
     return ok;
@@ -132,16 +130,12 @@ class Router {
   const place::Placement& placement_;
   RouteOptions opt_;
   Fabric fabric_;
-  int threads_;
-  /// One search scratch per worker slot; slot 0 doubles as the serial
-  /// (requeue-tail and repair-phase) scratch.
-  std::vector<SearchScratch> scratch_;
+  /// The run's one search scratch: every search (batched, requeued and
+  /// repair) uses it in turn.
+  SearchScratch scratch_;
   /// Per-component A*-queue tallies, summed into the result in component
-  /// order after routing — identical totals for any worker count.
+  /// order after routing.
   std::vector<SearchStats> net_stats_;
-  /// Cells installed by commits of the current batch (epoch-stamped).
-  std::vector<int> batch_stamp_;
-  int batch_epoch_ = 0;
   const CancelToken* stop_;
 };
 
@@ -150,9 +144,7 @@ RoutingResult Router::run() {
   RoutingResult result;
   const int components = static_cast<int>(nodes_.net_pins.size());
   result.nets.assign(static_cast<std::size_t>(components), RoutedNet{});
-  scratch_.resize(static_cast<std::size_t>(threads_));
   net_stats_.assign(static_cast<std::size_t>(components), SearchStats{});
-  batch_stamp_.assign(fabric_.cell_count(), 0);
 
   // Port-region capacity: a module loop pinned by several components must
   // admit one crossing per component not just on its own cell but through
@@ -207,6 +199,9 @@ RoutingResult Router::run() {
   std::vector<RoutedNet> candidates;
   std::vector<SearchStats> candidate_stats;
   std::vector<std::uint8_t> candidate_ok;
+  // Fabric indices of the cells installed by earlier commits of the
+  // current batch, sorted and unique.
+  std::vector<std::uint32_t> batch_cells;
   std::vector<int> requeued;
   // Set when a poll saw the stop token (which stays fired): the run
   // unwinds at that batch boundary with every route installed, skips
@@ -241,29 +236,23 @@ RoutingResult Router::run() {
         candidates.resize(batch.size());
         candidate_stats.assign(batch.size(), SearchStats{});
         candidate_ok.assign(batch.size(), 0);
-        // Search phase: the fabric is frozen; each worker slot owns a
-        // scratch, so concurrent searches never share mutable state. The
+        // Search phase: every member searches the same frozen fabric. The
         // warm window reads the net's pre-rip-up route (rip_up only
-        // touches the fabric), also frozen here.
-        auto search_one = [&](std::size_t slot, std::size_t i) {
+        // touches the fabric).
+        for (std::size_t i = 0; i < batch.size(); ++i) {
           const Box3 window =
               window_of(result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
-              route_one_net(fabric_, scratch_[slot], nodes_, placement_,
-                            opt_, batch[i], window, candidates[i],
+              route_one_net(fabric_, scratch_, nodes_, placement_, opt_,
+                            batch[i], window, candidates[i],
                             candidate_stats[i])
                   ? 1
                   : 0;
-        };
-        if (threads_ == 1 || batch.size() == 1) {
-          for (std::size_t i = 0; i < batch.size(); ++i) search_one(0, i);
-        } else {
-          parallel_for_slots(batch.size(), threads_, search_one);
         }
       }
       {
         TQEC_TRACE_SPAN("route.commit");
-        detail::bump_epoch(batch_epoch_, batch_stamp_);
+        batch_cells.clear();
         for (std::size_t i = 0; i < batch.size(); ++i) {
           const int c = batch[i];
           net_stats_[static_cast<std::size_t>(c)] += candidate_stats[i];
@@ -276,8 +265,9 @@ RoutingResult Router::run() {
           bool conflict = false;
           for (const Vec3& cell : candidates[i].cells) {
             const std::size_t idx = fabric_.index(cell);
-            if (batch_stamp_[idx] == batch_epoch_ &&
-                fabric_.usage(idx) >= fabric_.capacity(idx)) {
+            if (fabric_.usage(idx) >= fabric_.capacity(idx) &&
+                std::binary_search(batch_cells.begin(), batch_cells.end(),
+                                   static_cast<std::uint32_t>(idx))) {
               conflict = true;
               break;
             }
@@ -290,8 +280,14 @@ RoutingResult Router::run() {
           RoutedNet& net = result.nets[static_cast<std::size_t>(c)];
           net = std::move(candidates[i]);
           install(net);
+          if (i + 1 == batch.size()) continue;  // no later commit to test
           for (const Vec3& cell : net.cells)
-            batch_stamp_[fabric_.index(cell)] = batch_epoch_;
+            batch_cells.push_back(
+                static_cast<std::uint32_t>(fabric_.index(cell)));
+          std::sort(batch_cells.begin(), batch_cells.end());
+          batch_cells.erase(
+              std::unique(batch_cells.begin(), batch_cells.end()),
+              batch_cells.end());
         }
         ++result.batches;
       }
@@ -490,21 +486,32 @@ RoutingResult Router::run() {
   // Invariant: after negotiation and repair (including every repair
   // rollback and a stopped run's unwinding), the usage counters must agree
   // with the final routes. A leak here would silently corrupt congestion
-  // accounting, so the check runs in every build type (one O(cells) pass).
+  // accounting, so the check runs in every build type. Each routed cell's
+  // run in the sorted list must match its usage, and the usage total must
+  // match the list's length, so no unrouted cell holds usage either.
   {
-    std::vector<std::uint32_t> recount(fabric_.cell_count(), 0);
+    std::vector<std::uint32_t> routed;
     for (const RoutedNet& net : result.nets)
-      for (const Vec3& cell : net.cells) ++recount[fabric_.index(cell)];
+      for (const Vec3& cell : net.cells)
+        routed.push_back(static_cast<std::uint32_t>(fabric_.index(cell)));
+    std::sort(routed.begin(), routed.end());
+    std::int64_t usage_total = 0;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
-      TQEC_ASSERT(recount[i] == static_cast<std::uint32_t>(fabric_.usage(i)),
+      usage_total += fabric_.usage(i);
+    TQEC_ASSERT(usage_total == static_cast<std::int64_t>(routed.size()),
+                "usage counters desynced from the final routes");
+    for (auto run = routed.begin(); run != routed.end();) {
+      const auto next = std::upper_bound(run, routed.end(), *run);
+      TQEC_ASSERT(next - run == fabric_.usage(*run),
                   "usage counters desynced from the final routes");
+      run = next;
+    }
   }
 
   // Final congestion census: overused cells, usage histogram, top-K
-  // hottest cells, and a top-down text heatmap (one O(cells) pass, same
-  // cost class as the invariant check above). The overused count is taken
-  // here, after repair, so it describes the routes the result reports;
-  // overused_per_iter keeps the negotiation series.
+  // hottest cells, and a top-down text heatmap (one O(cells) pass). The
+  // overused count is taken here, after repair, so it describes the routes
+  // the result reports; overused_per_iter keeps the negotiation series.
   {
     int max_usage = 0;
     for (std::size_t i = 0; i < fabric_.cell_count(); ++i)
@@ -567,6 +574,8 @@ RoutingResult Router::run() {
       result.bounding = result.bounding.expanded(cell);
   }
   result.volume = result.bounding.volume();
+  result.resident_bytes = fabric_.plane_bytes() + scratch_.plane_bytes() +
+                          scratch_.open.capacity_bytes();
   TQEC_LOG_INFO("routing: " << components << " components, legal="
                             << result.legal << " iters=" << result.iterations
                             << " wire=" << result.total_wire

@@ -91,12 +91,9 @@ struct RouteOptions {
   /// Initial half-width of the restricted search region around a
   /// connection's bounding box; grows when a connection fails.
   int region_margin = 6;
-  /// Worker threads for the batched negotiation schedule (CLI
-  /// `--route-threads`). Results are bit-identical for any value: batch
-  /// composition, commit order, and conflict decisions are pure functions
-  /// of the deterministic net order, never of the worker count. 0 = let
-  /// the caller decide (core::compile divides its `--jobs` budget across
-  /// concurrent place+route attempts; plain route_nets treats 0 as 1).
+  /// Inert: a routing run searches on the calling thread only, whatever
+  /// this holds. Kept only because perfbench's replay still assigns it;
+  /// delete it with that use.
   int threads = 0;
   /// Give up on a negotiation that the doom test (doomed()) marks as
   /// hopeless: the run returns legal == false and abandoned == true,
@@ -157,8 +154,7 @@ struct RoutingResult {
   double present_factor_final = 0;
 
   // Batched-negotiation observability (see net_batcher.h). All three are
-  // pure functions of the schedule, not of the worker count, so they are
-  // identical for any --route-threads value.
+  // pure functions of the schedule.
   /// Disjoint-region batches committed across all negotiation iterations.
   int batches = 0;
   /// Nets requeued because their committed path collided with a cell an
@@ -166,17 +162,18 @@ struct RoutingResult {
   /// search that escaped its declared region through the failure-inflated
   /// retries).
   int conflicts_requeued = 0;
-  /// Mean nets per batch: the spatial parallelism the batcher exposed, an
-  /// upper bound on the speedup any worker count can realize.
+  /// Mean nets per batch: the spatial parallelism the batcher exposed.
   double parallel_efficiency = 0;
 
-  // Warm-window observability. Like the stats above, these are summed per
-  // component in deterministic component order, so they are identical for
-  // any --route-threads value.
+  // Warm-window observability, summed per component in component order.
   /// Warm-window connect attempts that succeeded within the previous
   /// route's bounding box vs. fell through to the classic margin ladder.
   std::int64_t window_hits = 0;
   std::int64_t window_misses = 0;
+
+  /// Capacity bytes the run held at return in its fabric planes (13 per
+  /// cell), its search scratch planes (9 per cell) and its open queue.
+  std::int64_t resident_bytes = 0;
 
   // Congestion observability (always computed; one O(cells) pass at the
   // end of routing, serialized via core::stats_json and rendered by

@@ -1,5 +1,6 @@
 #include "route/search_kernel.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -164,8 +165,9 @@ std::uint8_t region_bits(Vec3 p, const Box3& region) {
 /// mask OR the per-net own-pin overlay, AND the region bits of the popped
 /// cell (every queued cell lies inside the region, so a step leaves it
 /// only across one face). Set bits are walked in increasing direction, and
-/// a neighbour's entry cost is one read of the fabric's cost plane. The
-/// bucket queue pops the integer-keyed lower bound of f, ties LIFO.
+/// a neighbour costs two reads: the fabric's cost plane and its 8-byte
+/// scratch record. The bucket queue pops the integer-keyed lower bound of
+/// f, ties LIFO.
 bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
              const Box3& region, Box3& tree_box, SearchStats& stats) {
   ++stats.connects;
@@ -176,7 +178,7 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
   BucketQueue& open = scratch.open;
   open.reset();
   scratch.begin_search();
-  scratch.set_g(source_idx, 0.0f, -1);
+  scratch.set_g(source_idx, 0.0f, SearchScratch::kSource);
   open.push(static_cast<std::int64_t>(heuristic(source, tree_box)), 0.0f,
             static_cast<std::uint32_t>(source_idx));
   ++stats.queue_pushes;
@@ -201,7 +203,7 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
           static_cast<std::ptrdiff_t>(ci) + fabric.stride(dir));
       const float ng = top.g + fabric.cost(qi);
       if (scratch.seen(qi) && ng >= scratch.cells[qi].g) continue;
-      scratch.set_g(qi, ng, dir);
+      scratch.set_g(qi, ng, static_cast<std::uint32_t>(dir));
       const Vec3 q = p + kNeighbours[static_cast<std::size_t>(dir)];
       open.push(static_cast<std::int64_t>(ng + heuristic(q, tree_box)), ng,
                 static_cast<std::uint32_t>(qi));
@@ -218,8 +220,8 @@ bool connect(const Fabric& fabric, SearchScratch& scratch, Vec3 source,
       scratch.tree_cells.push_back(cur);
       tree_box = tree_box.expanded(fabric.cell_at(cur));
     }
-    const int dir = scratch.cells[cur].parent;
-    if (cur == source_idx || dir < 0) break;
+    const std::uint32_t dir = scratch.parent(cur);
+    if (cur == source_idx || dir == SearchScratch::kSource) break;
     // parent = cell we came FROM: step back against the stored direction.
     const Vec3 p =
         fabric.cell_at(cur) - kNeighbours[static_cast<std::size_t>(dir)];

@@ -1,30 +1,25 @@
 // Per-net A* search kernel for the dual-defect router, factored out of the
 // PathFinder negotiation loop so that
 //   (a) the shared routing fabric (occupancy, history, capacities) is
-//       cleanly separated from per-search scratch — a prerequisite for
-//       routing spatially disjoint nets concurrently against a read
-//       snapshot of the fabric (see net_batcher.h and DESIGN.md §Routing);
-//   (b) all per-search state (open queue storage, one packed g/parent/
-//       tree/own-pin record per cell) lives in a reusable per-worker
-//       SearchScratch, so the hot loop performs zero heap allocations
-//       after warm-up;
+//       cleanly separated from per-search scratch: a batch's members are
+//       all searched against one frozen snapshot of the fabric (see
+//       net_batcher.h and DESIGN.md §Routing);
+//   (b) all per-search state (open queue storage, an 8-byte g/parent
+//       record and a 1-byte own-pin/tree plane per cell) lives in one
+//       reusable SearchScratch per routing run, so the hot loop performs
+//       zero heap allocations after warm-up;
 //   (c) the open list is a monotone bucket (Dial) queue keyed on the
 //       integer lower bound of f — O(1) push/pop against a binary heap's
 //       O(log n).
 //
-// Thread-safety contract: during a batch's search phase every worker holds
-// a distinct SearchScratch and treats the Fabric as read-only; all fabric
-// mutation (occupy/vacate/history/present factor/hard blocks, and with
-// them the cost plane) happens on the negotiation thread between search
-// phases. Searches are pure functions of
-// (fabric snapshot, net, options), which is what makes the batched
-// schedule's results independent of the worker count.
+// A search treats the Fabric as read-only; all fabric mutation
+// (occupy/vacate/history/present factor/hard blocks, and with them the
+// cost plane) happens between searches. Searches are pure functions of
+// (fabric snapshot, net, options).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "place/nodes.h"
@@ -36,22 +31,6 @@ namespace tqec::route {
 inline constexpr std::array<Vec3, 6> kNeighbours{
     Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 1, 0},
     Vec3{0, -1, 0}, Vec3{0, 0, 1}, Vec3{0, 0, -1}};
-
-namespace detail {
-
-/// Advance a stamp epoch. Epochs turn per-search clears into O(1) (a cell
-/// is "set" iff its stamp equals the current epoch); on the
-/// (astronomically rare) wrap the backing array is cleared so stale stamps
-/// can never alias a fresh epoch.
-inline void bump_epoch(int& epoch, std::vector<int>& stamps) {
-  if (epoch == std::numeric_limits<int>::max()) {
-    std::fill(stamps.begin(), stamps.end(), 0);
-    epoch = 0;
-  }
-  ++epoch;
-}
-
-}  // namespace detail
 
 /// Shared routing fabric: the lattice-cell grid spanning the placement
 /// core plus a margin, with per-cell state laid out as parallel SoA arrays
@@ -170,6 +149,13 @@ class Fabric {
   /// (an O(cells) consistency check for debug builds).
   bool cost_plane_consistent() const;
 
+  /// Capacity bytes of the per-cell planes: 13 per cell.
+  std::size_t plane_bytes() const {
+    return edge_mask_.capacity() * sizeof(std::uint8_t) +
+           (usage_.capacity() + capacity_.capacity()) * sizeof(std::uint16_t) +
+           (history_.capacity() + cost_.capacity()) * sizeof(float);
+  }
+
  private:
   float cost_of(std::size_t i) const {
     double c = 1.0 + history_[i];
@@ -240,6 +226,16 @@ class BucketQueue {
 
   bool empty() const { return live_ == 0; }
 
+  /// Capacity bytes of the retained bucket, dirty-list and overflow storage.
+  std::size_t capacity_bytes() const {
+    std::size_t bytes = buckets_.capacity() * sizeof(std::vector<Entry>) +
+                        dirty_.capacity() * sizeof(std::size_t) +
+                        overflow_.capacity() * sizeof(OverflowEntry);
+    for (const std::vector<Entry>& b : buckets_)
+      bytes += b.capacity() * sizeof(Entry);
+    return bytes;
+  }
+
   Entry pop() {
     --live_;
     for (;;) {
@@ -280,8 +276,7 @@ class BucketQueue {
 };
 
 /// A*-queue traffic of one or more searches; summed into the routing
-/// result on the negotiation thread in deterministic net order, so the
-/// totals are identical for any worker count.
+/// result in deterministic net order.
 struct SearchStats {
   std::int64_t queue_pushes = 0;
   std::int64_t queue_pops = 0;
@@ -303,91 +298,87 @@ struct SearchStats {
   }
 };
 
-/// Per-worker search scratch: the open queue plus one packed 16-byte
-/// record per fabric cell. One instance per routing worker, reused across
-/// every search that worker runs; epoch stamps make per-search and per-net
-/// clears O(1) and the retained capacity makes them allocation-free.
+/// Search scratch of one routing run: the open queue plus two per-cell
+/// planes, reused across every search the run makes. The retained capacity
+/// makes steady-state searches allocation-free.
 ///
-/// A record's g and parent are valid iff its `search` stamp equals
-/// search_epoch; its own-pin bits and tree flag are valid iff its `net`
-/// stamp equals net_epoch (both are per-net state, so they share one
-/// epoch). On the (astronomically rare) wrap of an epoch every record's
-/// stamp for it is cleared, so a stale stamp can never alias a fresh
-/// epoch.
+/// `cells` is the hot record, the only scratch state a search reads per
+/// admitted neighbour: g and a tag of search_epoch << 3 | entry direction
+/// (a kNeighbours index, or kSource at the search source). A record's g and
+/// direction are valid iff its tag's epoch equals search_epoch, so a new
+/// search is an O(1) epoch bump. The epoch wraps at kMaxEpoch, and the wrap
+/// clears every tag, so a stale tag can never alias a fresh epoch.
+///
+/// `net` is the per-net plane: own-pin direction bits (kOwnBits) OR-ed onto
+/// Fabric::edge_mask in the hot loop, and the tree flag (kTreeBit). Every
+/// cell given a bit is listed in `net_cells`, and begin_net clears exactly
+/// those, so starting a net costs what the previous one touched.
 struct SearchScratch {
   struct Cell {
     float g;
-    std::int32_t search;
-    std::int32_t net;
-    /// Direction (kNeighbours index) the search entered this cell by; -1
-    /// at the source.
-    std::int8_t parent;
-    /// Own-pin overlay: extra passable-direction bits OR-ed onto
-    /// Fabric::edge_mask in the hot loop.
-    std::uint8_t own;
-    std::uint8_t tree;
+    std::uint32_t tag;
   };
-  static_assert(sizeof(Cell) == 16);
+  static_assert(sizeof(Cell) == 8);
+  static constexpr std::uint32_t kSource = 7;
+  static constexpr std::uint32_t kMaxEpoch = (1u << 29) - 1;
+  static constexpr std::uint8_t kOwnBits = 0x3f;
+  static constexpr std::uint8_t kTreeBit = 0x80;
 
   BucketQueue open;
   std::vector<Cell> cells;
-  int search_epoch = 0;
-  int net_epoch = 0;
+  std::vector<std::uint8_t> net;
+  std::uint32_t search_epoch = 0;
+  /// Cells whose `net` byte the current net has set (fabric indices).
+  std::vector<std::uint32_t> net_cells;
   /// Tree cells of the net currently being routed (fabric indices).
   std::vector<std::size_t> tree_cells;
 
-  /// Size the records for a fabric of `n` cells (idempotent).
+  /// Size the planes for a fabric of `n` cells (idempotent).
   void ensure(std::size_t n) {
     if (cells.size() == n) return;
-    cells.assign(n, Cell{0.0f, 0, 0, -1, 0, 0});
-    search_epoch = net_epoch = 0;
+    cells.assign(n, Cell{0.0f, 0});
+    net.assign(n, 0);
+    net_cells.clear();
+    search_epoch = 0;
+  }
+
+  /// Capacity bytes of the per-cell planes: 9 per cell.
+  std::size_t plane_bytes() const {
+    return cells.capacity() * sizeof(Cell) + net.capacity();
   }
 
   void begin_search() {
-    if (search_epoch == std::numeric_limits<int>::max()) {
-      for (Cell& c : cells) c.search = 0;
+    if (search_epoch == kMaxEpoch) {
+      for (Cell& c : cells) c.tag = 0;
       search_epoch = 0;
     }
     ++search_epoch;
   }
-  bool seen(std::size_t i) const { return cells[i].search == search_epoch; }
-  void set_g(std::size_t i, float v, int parent_dir) {
-    Cell& c = cells[i];
-    c.g = v;
-    c.search = search_epoch;
-    c.parent = static_cast<std::int8_t>(parent_dir);
+  bool seen(std::size_t i) const {
+    return cells[i].tag >> 3 == search_epoch;
   }
+  void set_g(std::size_t i, float v, std::uint32_t parent_dir) {
+    cells[i] = Cell{v, search_epoch << 3 | parent_dir};
+  }
+  /// Direction the current search entered cell i by; kSource at its source.
+  std::uint32_t parent(std::size_t i) const { return cells[i].tag & 7u; }
 
   /// Start a new net: forget every tree mark and own-pin bit.
   void begin_net() {
-    if (net_epoch == std::numeric_limits<int>::max()) {
-      for (Cell& c : cells) c.net = 0;
-      net_epoch = 0;
-    }
-    ++net_epoch;
+    for (const std::uint32_t i : net_cells) net[i] = 0;
+    net_cells.clear();
   }
-  bool on_tree(std::size_t i) const {
-    return cells[i].net == net_epoch && cells[i].tree != 0;
-  }
-  void mark_tree(std::size_t i) { net_record(i).tree = 1; }
-  void add_own(std::size_t i, std::uint8_t bits) {
-    Cell& c = net_record(i);
-    c.own = static_cast<std::uint8_t>(c.own | bits);
-  }
+  bool on_tree(std::size_t i) const { return (net[i] & kTreeBit) != 0; }
+  void mark_tree(std::size_t i) { set_net_bits(i, kTreeBit); }
+  void add_own(std::size_t i, std::uint8_t bits) { set_net_bits(i, bits); }
   std::uint8_t own(std::size_t i) const {
-    return cells[i].net == net_epoch ? cells[i].own : 0;
+    return static_cast<std::uint8_t>(net[i] & kOwnBits);
   }
 
  private:
-  /// Cell i's record with its per-net fields valid for the current net.
-  Cell& net_record(std::size_t i) {
-    Cell& c = cells[i];
-    if (c.net != net_epoch) {
-      c.net = net_epoch;
-      c.own = 0;
-      c.tree = 0;
-    }
-    return c;
+  void set_net_bits(std::size_t i, std::uint8_t bits) {
+    if (net[i] == 0) net_cells.push_back(static_cast<std::uint32_t>(i));
+    net[i] = static_cast<std::uint8_t>(net[i] | bits);
   }
 };
 

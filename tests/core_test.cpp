@@ -218,6 +218,27 @@ TEST(CompileTest, RestartAttemptsAreIndependent) {
   }
 }
 
+// A whitespace level routes on one search scratch at any --jobs: the
+// kept level's resident router bytes, which count every scratch plane,
+// are the same at jobs 1 and 4 (where each level once got two workers).
+TEST(CompileTest, RouterResidentBytesIndependentOfJobs) {
+  const icm::IcmCircuit circuit =
+      icm::make_workload(workload_spec(paper_benchmark("4gt10-v1_81")));
+  CompileOptions opt;
+  opt.seed = 7;
+  opt.jobs = 1;
+  const CompileResult serial = compile(circuit, opt);
+  opt.jobs = 4;
+  const CompileResult parallel = compile(circuit, opt);
+  ASSERT_EQ(serial.timings.attempts.size(), 1u);
+  ASSERT_EQ(parallel.timings.attempts.size(), 1u);
+  EXPECT_GT(serial.timings.attempts[0].route_resident_bytes, 0);
+  EXPECT_EQ(serial.timings.attempts[0].route_resident_bytes,
+            parallel.timings.attempts[0].route_resident_bytes);
+  EXPECT_EQ(serial.routing.resident_bytes,
+            serial.timings.attempts[0].route_resident_bytes);
+}
+
 TEST(CompileTest, StatsJsonReportsAttemptsAndRestarts) {
   CompileOptions opt;
   opt.place_restarts = 2;
@@ -228,6 +249,7 @@ TEST(CompileTest, StatsJsonReportsAttemptsAndRestarts) {
   EXPECT_NE(json.find("\"attempts\": ["), std::string::npos);
   EXPECT_NE(json.find("\"sa_accepted\""), std::string::npos);
   EXPECT_NE(json.find("\"route_iterations\""), std::string::npos);
+  EXPECT_NE(json.find("\"route_resident_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"primal_restarts\""), std::string::npos);
   EXPECT_NE(json.find("\"selected\": true"), std::string::npos);
 }

@@ -197,7 +197,6 @@ TEST(RouterTest, FiredStopTokenReturnsBeforeTheFirstBatch) {
   stop.cancel();
   RouteOptions opt;
   opt.seed = 7;
-  opt.threads = 2;
   RoutingResult r;
   EXPECT_NO_THROW(r = route_nets(flow.nodes, flow.placement, opt, &stop));
   EXPECT_FALSE(r.legal);
@@ -874,20 +873,27 @@ TEST(FabricTest, OversizedCoreIsAStructuredError) {
   }
 }
 
-// The packed scratch record's epochs wrap at INT_MAX by clearing every
-// stamp. A scratch holding records stamped at small epochs (as earlier
-// nets and searches leave them, here with g 0 and a tree mark, so an
-// aliased record blocks every relaxation and ends every search) that
-// jumps to just below the wrap reuses those epochs after it; it must still
-// reproduce a fresh scratch's cells and pops on each of three routes of
-// the same net.
-TEST(SearchScratchTest, EpochWrapKeepsResults) {
+/// The open fixture's pins plus a wall module at (3, 0, 3).
+GridFixture walled_fixture() {
   GridFixture f = open_fixture({{0, 0, 0}, {5, 0, 3}, {2, 0, 6}, {6, 0, 6}});
-  f.placement.module_cell.push_back({3, 0, 3});  // a wall module
+  f.placement.module_cell.push_back({3, 0, 3});
   f.nodes.node_of_module.push_back(4);
   f.nodes.module_offset.push_back({});
   f.nodes.flip_of_module.push_back(0);
   f.nodes.access_offsets.push_back({});
+  return f;
+}
+
+// The hot record's 29-bit search epoch wraps at kMaxEpoch by clearing
+// every tag. A scratch holding records stamped at small epochs (as earlier
+// searches leave them, here with g 0, so an aliased record blocks every
+// relaxation) that jumps to just below the wrap reuses those epochs after
+// it; it must still reproduce a fresh scratch's cells and pops on each of
+// three routes of the same net. Every cell also starts with own and tree
+// bits a previous net left on its per-net plane (listed, as set_net_bits
+// lists them), which begin_net must clear.
+TEST(SearchScratchTest, EpochWrapKeepsResults) {
+  const GridFixture f = walled_fixture();
   const Fabric fabric(f.nodes, f.placement, /*margin=*/2);
   RouteOptions opt;
   const Box3 cold;  // no warm window
@@ -902,11 +908,12 @@ TEST(SearchScratchTest, EpochWrapKeepsResults) {
   SearchScratch wrapped;
   wrapped.ensure(fabric.cell_count());
   for (std::size_t i = 0; i < wrapped.cells.size(); ++i) {
-    const auto stamp = static_cast<std::int32_t>(1 + i % 4);
-    wrapped.cells[i] = {0.0f, stamp, stamp, 0, 0, 1};
+    const auto epoch = static_cast<std::uint32_t>(1 + i % 4);
+    wrapped.cells[i] = {0.0f, epoch << 3};
+    wrapped.net[i] = SearchScratch::kTreeBit | SearchScratch::kOwnBits;
+    wrapped.net_cells.push_back(static_cast<std::uint32_t>(i));
   }
-  wrapped.search_epoch = std::numeric_limits<int>::max() - 1;
-  wrapped.net_epoch = std::numeric_limits<int>::max() - 1;
+  wrapped.search_epoch = SearchScratch::kMaxEpoch - 1;
   RoutedNet out;
   for (int run = 0; run < 3; ++run) {
     SearchStats run_stats;
@@ -915,12 +922,78 @@ TEST(SearchScratchTest, EpochWrapKeepsResults) {
     EXPECT_EQ(out.cells, want.cells) << "run " << run;
     EXPECT_EQ(run_stats.queue_pops, want_stats.queue_pops) << "run " << run;
     EXPECT_EQ(run_stats.queue_pushes, want_stats.queue_pushes);
+    EXPECT_EQ(wrapped.net, fresh.net) << "run " << run;
   }
-  // Both epochs wrapped and restarted from 1.
-  EXPECT_EQ(wrapped.net_epoch, 2);
+  // The epoch wrapped and restarted from 1.
   EXPECT_LT(wrapped.search_epoch, 3 * want_stats.connects);
 }
 
+// Two nets on six modules, each net's pins placed around the other's:
+// routed one after the other on one scratch, the second net must match a
+// fresh scratch exactly (cells, queue traffic, and the per-net plane it
+// leaves), so no own-pin or tree bit of the first leaks into it. Either
+// leak would show: a stale tree bit ends a search early, a stale own bit
+// opens a foreign module cell.
+TEST(SearchScratchTest, NetAfterNetMatchesFreshScratch) {
+  GridFixture f = open_fixture(
+      {{0, 0, 0}, {6, 0, 6}, {3, 0, 1}, {6, 0, 0}, {0, 0, 6}, {3, 0, 5}});
+  f.nodes.net_pins = {{0, 1, 2}, {3, 4, 5}};
+  const Fabric fabric(f.nodes, f.placement, /*margin=*/1);
+  RouteOptions opt;
+  const Box3 cold;
+  for (const int first : {0, 1}) {
+    SCOPED_TRACE("first net " + std::to_string(first));
+    const int second = 1 - first;
+    SearchScratch fresh;
+    RoutedNet want;
+    SearchStats want_stats;
+    ASSERT_TRUE(route_one_net(fabric, fresh, f.nodes, f.placement, opt,
+                              second, cold, want, want_stats));
+
+    SearchScratch shared;
+    RoutedNet out;
+    SearchStats stats;
+    ASSERT_TRUE(route_one_net(fabric, shared, f.nodes, f.placement, opt,
+                              first, cold, out, stats));
+    ASSERT_NE(shared.net, fresh.net);
+    stats = SearchStats{};
+    ASSERT_TRUE(route_one_net(fabric, shared, f.nodes, f.placement, opt,
+                              second, cold, out, stats));
+    EXPECT_EQ(out.cells, want.cells);
+    EXPECT_EQ(stats.queue_pops, want_stats.queue_pops);
+    EXPECT_EQ(stats.queue_pushes, want_stats.queue_pushes);
+    EXPECT_EQ(shared.net, fresh.net);
+  }
+}
+
+// The router's per-cell memory: 13 bytes of fabric planes and 9 of search
+// scratch planes per fabric cell, and nothing else per cell. A routing run
+// reports exactly those planes plus its open queue; on a one-net fixture
+// (routed once, legal at iteration 1) that is the standalone search's
+// queue, so the run held one scratch.
+TEST(RouterMemoryTest, TwentyTwoBytesPerFabricCell) {
+  const GridFixture f = walled_fixture();
+  RouteOptions opt;
+  opt.margin = 2;
+  const Fabric fabric(f.nodes, f.placement, opt.margin);
+  SearchScratch scratch;
+  RoutedNet out;
+  SearchStats stats;
+  ASSERT_TRUE(route_one_net(fabric, scratch, f.nodes, f.placement, opt, 0,
+                            Box3{}, out, stats));
+  EXPECT_EQ(fabric.plane_bytes(), 13 * fabric.cell_count());
+  EXPECT_EQ(scratch.plane_bytes(), 9 * fabric.cell_count());
+  EXPECT_EQ(fabric.plane_bytes() + scratch.plane_bytes(),
+            22 * fabric.cell_count());
+
+  const RoutingResult r = route_nets(f.nodes, f.placement, opt);
+  ASSERT_TRUE(r.legal);
+  ASSERT_EQ(r.iterations, 1);
+  EXPECT_EQ(r.resident_bytes,
+            static_cast<std::int64_t>(fabric.plane_bytes() +
+                                      scratch.plane_bytes() +
+                                      scratch.open.capacity_bytes()));
+}
 
 // The doom test (RouteOptions::abandon_doomed) on paper benchmarks' real
 // whitespace levels: the node set core::compile builds at seed 7, placed

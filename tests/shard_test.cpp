@@ -393,17 +393,16 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
     expect_one_recompiled();
   }
 
-  // A well-formed record of the previous format version: a `tqecck 4`
-  // header and four more attempt tokens (version 4's attempt line also
-  // held the tempering fields sa_replicas, sa_selected_replica,
-  // sa_exchanges_attempted and sa_exchanges_accepted). It must fail soft
-  // and be rewritten at version 5.
+  // A well-formed record of the previous format version: a `tqecck 5`
+  // header and one attempt token fewer (version 5's attempt line ended
+  // before route_resident_bytes). It must fail soft and be rewritten at
+  // version 6.
   ASSERT_EQ(rewrite_record(files[0],
                            [](std::vector<std::string>& t) {
                              if (t[0] == "tqecck" && t.size() == 2)
-                               t[1] = "4";
+                               t[1] = "5";
                              else if (t[0] == "attempt" && t.size() > 4)
-                               t.insert(t.end(), {"1", "0", "0", "0"});
+                               t.pop_back();
                              else
                                return false;
                              return true;
@@ -413,7 +412,7 @@ TEST_F(CheckpointTest, CorruptRecordFailsSoft) {
   std::ifstream rewritten(files[0]);
   std::string header;
   std::getline(rewritten, header);
-  EXPECT_EQ(header, "tqecck 5");
+  EXPECT_EQ(header, "tqecck 6");
 }
 
 TEST_F(CheckpointTest, OptionChangeInvalidatesRecords) {

@@ -20,10 +20,6 @@
 //                              trace-event file (open in Perfetto or
 //                              chrome://tracing; with --jobs=N each worker
 //                              thread gets its own tid row)
-//   --route-threads=<n>        worker threads for the batched PathFinder
-//                              negotiation (default: divide the --jobs
-//                              budget across concurrent attempts; never
-//                              changes results)
 //   --shard-window=K           time-axis sharding: cut the circuit into
 //                              ~K-ASAP-layer windows at low-crossing time
 //                              cuts, compile windows independently, stitch
@@ -89,8 +85,8 @@ int usage() {
       "       tqec_compress list\n"
       "options: --mode=full|dual|modular --seed=N --effort=F\n"
       "         --jobs=N --place-restarts=K --stats-json=PATH|-\n"
-      "         --trace-json=PATH --route-threads=N --shard-window=K\n"
-      "         --shard-threads=N --checkpoint-dir=PATH\n"
+      "         --trace-json=PATH --shard-window=K --shard-threads=N\n"
+      "         --checkpoint-dir=PATH\n"
       "         --no-optimize --no-plan --verify\n"
       "         --json=PATH --obj=PATH --svg=PATH --icm=PATH\n");
   return 2;
@@ -128,10 +124,6 @@ bool parse_flag(const std::string& arg, CliOptions& opt) {
   }
   if (auto v = value_of("--stats-json=")) return opt.stats_json_path = *v, true;
   if (auto v = value_of("--trace-json=")) return opt.trace_json_path = *v, true;
-  if (auto v = value_of("--route-threads=")) {
-    opt.compile.route.threads = parse_int(*v, "--route-threads");
-    return true;
-  }
   if (auto v = value_of("--shard-window=")) {
     opt.shard.window = parse_int(*v, "--shard-window");
     return true;
@@ -201,13 +193,16 @@ int run_pipeline(const icm::IcmCircuit& circuit, CliOptions opt) {
       sharded ? core::compile_sharded(circuit, opt.compile, opt.shard)
               : core::compile(circuit, opt.compile);
   const Vec3 dims = result.routing.bounding.dims();
+  // place_s and route_s sum the kept attempt's whitespace levels, which
+  // may have run at the same time; the wall figure is the whole stage.
   std::printf("modules %d -> nodes %d; volume %lld (%dx%dx%d), %s; "
-              "%.2fs total (place %.2fs, route %.2fs)\n",
+              "%.2fs total (place+route %.2fs wall; summed over levels: "
+              "place %.2fs, route %.2fs)\n",
               result.modules, result.nodes,
               static_cast<long long>(result.volume), dims.x, dims.y, dims.z,
               result.routed_legal ? "legally routed" : "NOT LEGAL",
-              result.timings.total_s, result.timings.place_s,
-              result.timings.route_s);
+              result.timings.total_s, result.timings.place_route_wall_s,
+              result.timings.place_s, result.timings.route_s);
   std::printf("compression vs canonical: %.2fx\n",
               static_cast<double>(result.canonical_volume) /
                   static_cast<double>(result.volume));

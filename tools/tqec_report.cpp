@@ -152,6 +152,10 @@ void render_attempts(const Value& stats) {
                   num_or(a, "sa_moves_per_sec", 0),
                   moves > 0 ? num_or(a, "sa_repacked_nodes", 0) / moves : 0.0);
     }
+    if (a.find("route_resident_bytes") != nullptr)
+      std::printf("\n  router resident %.2f MiB (fabric, search scratch and "
+                  "open queue)\n",
+                  num_or(a, "route_resident_bytes", 0) / (1024.0 * 1024.0));
     if (const Value* over = a.find("route_overused_per_iter");
         over != nullptr && over->is_array() && !over->array.empty()) {
       const std::vector<double> ys = numbers_of(*over);
@@ -172,8 +176,7 @@ void render_route(const Value& stats) {
     std::printf("    batches %-24.0f conflicts requeued %.0f\n",
                 num_or(*route, "batches", 0),
                 num_or(*route, "conflicts_requeued", 0));
-    std::printf("    mean nets per batch %.2f  (spatial parallelism exposed "
-                "to --route-threads)\n",
+    std::printf("    mean nets per batch %.2f\n",
                 num_or(*route, "parallel_efficiency", 0));
   }
   if (route->find("window_hits") != nullptr) {
