@@ -9,11 +9,6 @@
 //                                     default 1, 0 = hardware concurrency)
 //   REPRO_PLACE_RESTARTS = <int>     (independent place+route attempts,
 //                                     best legal wins; default 1)
-//   REPRO_STATS     = 1              (print each run's per-stage
-//                                     observability report as JSON)
-//   REPRO_TRACE_JSON = <path>        (micro_pipeline only: enable tracing
-//                                     and write a Chrome trace-event file
-//                                     of every timed run's spans on exit)
 #pragma once
 
 #include <cstdint>
@@ -74,11 +69,7 @@ inline core::CompileResult run_mode(const icm::IcmCircuit& circuit,
   opt.jobs = jobs_from_env();
   opt.place_restarts = place_restarts_from_env();
   opt.emit_geometry = false;
-  const core::CompileResult result = core::compile(circuit, opt);
-  const char* stats_env = std::getenv("REPRO_STATS");
-  if (stats_env != nullptr && std::atoi(stats_env) != 0)
-    std::fputs(core::stats_json(result).c_str(), stdout);
-  return result;
+  return core::compile(circuit, opt);
 }
 
 inline void print_rule(int width = 100) {

@@ -3,18 +3,10 @@
 // plus the measured validate+stitch path of a long layered workload.
 // Counters carry the memory story (grid_bytes, peak_rss_mib) next to the
 // timing so CI artifacts show both axes of the trade.
-//
-// Observability hooks (shared naming with bench/harness.h):
-//   REPRO_STATS=1          after each benchmark, print the last run's
-//                          stats report to stdout
-//   REPRO_STATS_JSON=path  also collect those reports and write them as
-//                          one JSON array to `path` on exit (CI artifact)
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,52 +26,11 @@ namespace {
 
 using namespace tqec;
 
-bool stats_wanted() {
-  const char* print_env = std::getenv("REPRO_STATS");
-  return (print_env != nullptr && std::atoi(print_env) != 0) ||
-         std::getenv("REPRO_STATS_JSON") != nullptr;
-}
-
-std::vector<std::string>& collected_reports() {
-  static std::vector<std::string> reports;
-  return reports;
-}
-
-void flush_reports_file() {
-  const char* path = std::getenv("REPRO_STATS_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return;
-  std::fputs("[\n", f);
-  const auto& reports = collected_reports();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    std::fputs(reports[i].c_str(), f);
-    if (i + 1 < reports.size()) std::fputs(",\n", f);
-  }
-  std::fputs("\n]\n", f);
-  std::fclose(f);
-}
-
-void report_stats(const std::string& label, const std::string& stats_json) {
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (collected_reports().empty()) std::atexit(flush_reports_file);
-  std::string entry = "{\"bench\": \"" + label + "\", \"report\": ";
-  entry += stats_json;
-  entry += "}";
-  const char* print_env = std::getenv("REPRO_STATS");
-  if (print_env != nullptr && std::atoi(print_env) != 0) {
-    std::fputs(entry.c_str(), stdout);
-    std::fputs("\n", stdout);
-  }
-  collected_reports().push_back(std::move(entry));
-}
-
 // ---------------------------------------------------------------------------
 // Fixture: the same depth-long layered circuit micro_shard uses, cut into
 // windows and compiled once. The benchmarks below re-run only the
 // geometry-engine stages (validate, stitch, grid build) on the compiled
-// windows, which is the path the tentpole optimized.
+// windows.
 
 struct WindowFixture {
   std::string name;
@@ -197,13 +148,6 @@ void BM_GeomPath(benchmark::State& state) {
     grid_bytes = r.grid_bytes;
     cells = r.geometry.exact_cell_count();
     benchmark::DoNotOptimize(cells);
-  }
-  if (stats_wanted()) {
-    std::string entry = "{\"ok\": ";
-    entry += ok ? "true" : "false";
-    entry += ", \"seam_cells\": " + std::to_string(seam_cells);
-    entry += ", \"grid_bytes\": " + std::to_string(grid_bytes) + "}";
-    report_stats("BM_GeomPath", entry);
   }
   state.counters["ok"] = ok ? 1 : 0;
   state.counters["cells"] = static_cast<double>(cells);

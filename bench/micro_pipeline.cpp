@@ -2,77 +2,17 @@
 // workload grows, for the full flow and the dual-only baseline. Tracks the
 // paper's Table-3 runtime trend (runtime grows with module count; the
 // baseline's larger SA problem dominates at scale).
-//
-// Observability hooks (shared naming with bench/harness.h):
-//   REPRO_STATS=1          after each benchmark, print the last run's
-//                          per-stage stats_json report to stdout
-//   REPRO_STATS_JSON=path  also collect those reports and write them as
-//                          one JSON array to `path` on exit (CI artifact)
-//   REPRO_TRACE_JSON=path  enable pipeline tracing and write the spans of
-//                          every timed run as one Chrome trace-event file
-//                          to `path` on exit (open in Perfetto; also a CI
-//                          artifact)
-// Producing the report costs one stats_json serialization per timed
-// iteration, and tracing buffers every span, so leave all three unset for
-// clean timing runs.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/trace.h"
 #include "core/compiler.h"
 #include "icm/workload.h"
 
 namespace {
 
 using namespace tqec;
-
-bool stats_wanted() {
-  const char* print_env = std::getenv("REPRO_STATS");
-  return (print_env != nullptr && std::atoi(print_env) != 0) ||
-         std::getenv("REPRO_STATS_JSON") != nullptr;
-}
-
-std::vector<std::string>& collected_reports() {
-  static std::vector<std::string> reports;
-  return reports;
-}
-
-void flush_reports_file() {
-  const char* path = std::getenv("REPRO_STATS_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return;
-  std::fputs("[\n", f);
-  const auto& reports = collected_reports();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    std::fputs(reports[i].c_str(), f);
-    if (i + 1 < reports.size()) std::fputs(",\n", f);
-  }
-  std::fputs("\n]\n", f);
-  std::fclose(f);
-}
-
-/// Record one benchmark's final-run report, tagged with the benchmark
-/// label (the stats_json "name" field only names the workload).
-void report_stats(const std::string& label, const std::string& stats_json) {
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (collected_reports().empty()) std::atexit(flush_reports_file);
-  std::string entry = "{\"bench\": \"" + label + "\", \"report\": ";
-  entry += stats_json;
-  entry += "}";
-  const char* print_env = std::getenv("REPRO_STATS");
-  if (print_env != nullptr && std::atoi(print_env) != 0) {
-    std::fputs(entry.c_str(), stdout);
-    std::fputs("\n", stdout);
-  }
-  collected_reports().push_back(std::move(entry));
-}
 
 icm::IcmCircuit workload_of_scale(int scale) {
   icm::WorkloadSpec spec;
@@ -85,25 +25,19 @@ icm::IcmCircuit workload_of_scale(int scale) {
   return icm::make_workload(spec);
 }
 
-void run_pipeline(benchmark::State& state, core::PipelineMode mode,
-                  const std::string& label) {
+void run_pipeline(benchmark::State& state, core::PipelineMode mode) {
   const auto circuit = workload_of_scale(static_cast<int>(state.range(0)));
   core::CompileOptions opt;
   opt.mode = mode;
   opt.emit_geometry = false;
   std::int64_t volume = 0;
   bool legal = true;
-  const bool want_stats = stats_wanted();
-  std::string stats;
   for (auto _ : state) {
     const auto result = core::compile(circuit, opt);
     volume = result.volume;
     legal = legal && result.routed_legal;
-    if (want_stats) stats = core::stats_json(result);
     benchmark::DoNotOptimize(result.volume);
   }
-  if (want_stats)
-    report_stats(label + "/" + std::to_string(state.range(0)), stats);
   state.counters["volume"] = static_cast<double>(volume);
   state.counters["legal"] = legal ? 1 : 0;
   state.counters["modules"] =
@@ -111,13 +45,13 @@ void run_pipeline(benchmark::State& state, core::PipelineMode mode,
 }
 
 void BM_FullPipeline(benchmark::State& state) {
-  run_pipeline(state, core::PipelineMode::Full, "BM_FullPipeline");
+  run_pipeline(state, core::PipelineMode::Full);
 }
 BENCHMARK(BM_FullPipeline)->Arg(1)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
 
 void BM_DualOnlyPipeline(benchmark::State& state) {
-  run_pipeline(state, core::PipelineMode::DualOnly, "BM_DualOnlyPipeline");
+  run_pipeline(state, core::PipelineMode::DualOnly);
 }
 BENCHMARK(BM_DualOnlyPipeline)->Arg(1)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
@@ -134,19 +68,12 @@ void BM_MultiSeedPipeline(benchmark::State& state) {
   opt.jobs = static_cast<int>(state.range(1));
   std::int64_t volume = 0;
   bool legal = true;
-  const bool want_stats = stats_wanted();
-  std::string stats;
   for (auto _ : state) {
     const auto result = core::compile(circuit, opt);
     volume = result.volume;
     legal = legal && result.routed_legal;
-    if (want_stats) stats = core::stats_json(result);
     benchmark::DoNotOptimize(result.volume);
   }
-  if (want_stats)
-    report_stats("BM_MultiSeedPipeline/" + std::to_string(state.range(0)) +
-                     "/jobs:" + std::to_string(opt.jobs),
-                 stats);
   state.counters["volume"] = static_cast<double>(volume);
   state.counters["legal"] = legal ? 1 : 0;
   state.counters["jobs"] = static_cast<double>(opt.jobs);
@@ -160,24 +87,4 @@ BENCHMARK(BM_MultiSeedPipeline)
 
 }  // namespace
 
-// BENCHMARK_MAIN() expanded so the harness can honor REPRO_TRACE_JSON:
-// tracing is enabled before any benchmark runs and the accumulated spans
-// are written as one Chrome trace-event file after the last one.
-int main(int argc, char** argv) {
-  const char* trace_path = std::getenv("REPRO_TRACE_JSON");
-  if (trace_path != nullptr && trace_path[0] != '\0')
-    tqec::trace::set_enabled(true);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (trace_path != nullptr && trace_path[0] != '\0') {
-    if (!tqec::trace::write_chrome_trace_file(trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s (%zu span events)\n", trace_path,
-                 tqec::trace::event_count());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

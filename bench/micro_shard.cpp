@@ -5,19 +5,9 @@
 // peak-RSS gauge so CI artifacts carry the memory story next to the
 // timing. golden_test pins the sharded compile's exact work (volume,
 // windows, crossings, seam cells, queue pops).
-//
-// Observability hooks (shared naming with bench/harness.h):
-//   REPRO_STATS=1          after each benchmark, print the last run's
-//                          stats_json report to stdout
-//   REPRO_STATS_JSON=path  also collect those reports and write them as
-//                          one JSON array to `path` on exit (CI artifact)
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/trace.h"
@@ -28,47 +18,6 @@
 namespace {
 
 using namespace tqec;
-
-bool stats_wanted() {
-  const char* print_env = std::getenv("REPRO_STATS");
-  return (print_env != nullptr && std::atoi(print_env) != 0) ||
-         std::getenv("REPRO_STATS_JSON") != nullptr;
-}
-
-std::vector<std::string>& collected_reports() {
-  static std::vector<std::string> reports;
-  return reports;
-}
-
-void flush_reports_file() {
-  const char* path = std::getenv("REPRO_STATS_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return;
-  std::fputs("[\n", f);
-  const auto& reports = collected_reports();
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    std::fputs(reports[i].c_str(), f);
-    if (i + 1 < reports.size()) std::fputs(",\n", f);
-  }
-  std::fputs("\n]\n", f);
-  std::fclose(f);
-}
-
-void report_stats(const std::string& label, const std::string& stats_json) {
-  static std::mutex mutex;
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (collected_reports().empty()) std::atexit(flush_reports_file);
-  std::string entry = "{\"bench\": \"" + label + "\", \"report\": ";
-  entry += stats_json;
-  entry += "}";
-  const char* print_env = std::getenv("REPRO_STATS");
-  if (print_env != nullptr && std::atoi(print_env) != 0) {
-    std::fputs(entry.c_str(), stdout);
-    std::fputs("\n", stdout);
-  }
-  collected_reports().push_back(std::move(entry));
-}
 
 const icm::IcmCircuit& bench_circuit() {
   // Depth-93 layered circuit (>= 4x the deepest paper benchmark) — long
@@ -94,20 +43,13 @@ void BM_ShardCompile(benchmark::State& state) {
   std::int64_t volume = 0;
   bool legal = true;
   core::ShardStats last;
-  const bool want_stats = stats_wanted();
-  std::string stats;
   for (auto _ : state) {
     const auto result = core::compile_sharded(circuit, opt, shard);
     volume = result.volume;
     legal = legal && result.routed_legal;
     last = result.shard;
-    if (want_stats) stats = core::stats_json(result);
     benchmark::DoNotOptimize(result.volume);
   }
-  if (want_stats)
-    report_stats("BM_ShardCompile/window:" + std::to_string(shard.window) +
-                     "/threads:" + std::to_string(shard.threads),
-                 stats);
   state.counters["volume"] = static_cast<double>(volume);
   state.counters["legal"] = legal ? 1 : 0;
   state.counters["windows"] = static_cast<double>(last.windows_total);

@@ -3,7 +3,9 @@
 // responses and access logs). No external dependency: a small
 // recursive-descent parser covering the full RFC 8259 grammar is all
 // tqec_report and the round-trip tests need, and one streaming Writer
-// produces every JSON document the repo emits.
+// produces every JSON document the repo emits but one: geom::to_json keeps
+// its own compact layout (no spaces after separators), since golden
+// digests pin those bytes; it escapes the name through escape().
 //
 // Numbers are stored as double (the reports never exceed 2^53) and object
 // members keep insertion order.

@@ -78,53 +78,6 @@ inline void parallel_for(std::size_t n, int jobs,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Like parallel_for, but fn(slot, i) also receives the worker slot in
-/// [0, workers) running the iteration — slot 0 is always the calling
-/// thread. Slots let iterations own heavyweight per-worker scratch
-/// without sharing: at most one iteration runs on a slot at any time. The
-/// slot an iteration lands on is scheduling-dependent, so by the reduction
-/// rule it must only select *which* scratch to use, never influence the
-/// iteration's result.
-inline void parallel_for_slots(
-    std::size_t n, int jobs,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t workers =
-      std::min(n, static_cast<std::size_t>(std::max(1, jobs)));
-  if (workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_index = n;
-  auto work = [&](std::size_t slot) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(slot, i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (i < first_error_index) {
-          first_error_index = i;
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t)
-    threads.emplace_back(work, t);
-  work(0);
-  for (std::thread& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 /// Persistent worker pool with a bounded queue — the admission-control
 /// substrate of tqec_serve. Unlike parallel_for (a one-shot fork/join over
 /// a fixed index range), the pool accepts independent jobs over its whole

@@ -5,8 +5,8 @@
 // Everything is off by default and compiles down to one relaxed atomic load
 // per call site when disabled, so instrumentation can stay in hot paths
 // permanently. Enable with trace::set_enabled(true) (the CLI's --trace-json
-// / --stats-json flags and the bench harnesses' REPRO_TRACE_JSON knob do
-// this) or by setting TQEC_TRACE=1 in the environment.
+// / --stats-json flags do this) or by setting TQEC_TRACE=1 in the
+// environment.
 //
 // Collection surfaces:
 //

@@ -33,17 +33,8 @@ bool emitted_defects_have_disjoint_segments(const geom::GeomDescription& g) {
   std::vector<Vec3> cells;
   for (const geom::DefectView d : g.defects()) {
     cells.clear();
-    for (const geom::Segment& s : d.segments) {
-      Vec3 step{0, 0, 0};
-      const Vec3 delta = s.b - s.a;
-      if (delta.x != 0) step = {delta.x > 0 ? 1 : -1, 0, 0};
-      else if (delta.y != 0) step = {0, delta.y > 0 ? 1 : -1, 0};
-      else if (delta.z != 0) step = {0, 0, delta.z > 0 ? 1 : -1};
-      for (Vec3 p = s.a;; p += step) {
-        cells.push_back(p);
-        if (p == s.b) break;
-      }
-    }
+    for (const geom::Segment& s : d.segments)
+      s.for_each_cell([&](Vec3 p) { cells.push_back(p); });
     std::sort(cells.begin(), cells.end());
     if (std::adjacent_find(cells.begin(), cells.end()) != cells.end())
       return false;

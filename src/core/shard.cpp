@@ -682,19 +682,14 @@ CompileResult compile_sharded(const icm::IcmCircuit& circuit,
                       static_cast<int>(n), outcomes[w]);
   };
 
-  // Window compiles: slot-indexed writes + a serial stitch below keep the
+  // Window compiles: window-indexed writes + a serial stitch below keep the
   // result bit-identical for any worker count (the repo-wide reduction
   // rule). threads == 1 additionally guarantees only one window is ever
   // live at once: one fabric and B*-tree at jobs == 1, up to two (its
   // concurrent whitespace levels) at jobs >= 2.
   const int workers = resolve_jobs(shard.threads);
-  if (workers > 1) {
-    parallel_for_slots(n, workers, [&](std::size_t, std::size_t w) {
-      run_window(w, seeds[w], true);
-    });
-  } else {
-    for (std::size_t w = 0; w < n; ++w) run_window(w, seeds[w], true);
-  }
+  parallel_for(n, workers,
+               [&](std::size_t w) { run_window(w, seeds[w], true); });
   const double windows_wall_s = seconds_since(t_start);
 
   // Serial stitch along the pinned seam interfaces. A placement can seal

@@ -27,8 +27,8 @@
 //                       w is stacked at smaller x than window w+1) and
 //                       checked at stitch time.
 //   compile_sharded() — compile every window independently through
-//                       core::compile (on up to --shard-threads workers of
-//                       a parallel_for_slots pool; slot-indexed results +
+//                       core::compile (one parallel_for over up to
+//                       --shard-threads workers; window-indexed results +
 //                       a serial stitch keep the output bit-identical for
 //                       any thread count), then splice the window
 //                       geometries along pinned seam interfaces

@@ -69,16 +69,13 @@ std::int64_t CellGrid::set_segment(int plane, const Segment& s,
     }
   } else {
     // y- or z-run: one bit per row.
-    const Vec3 d = s.b - s.a;
-    const Vec3 step{0, (d.y > 0) - (d.y < 0), (d.z > 0) - (d.z < 0)};
-    for (Vec3 p = s.a;; p += step) {
+    s.for_each_cell([&](Vec3 p) {
       if (set(plane, p)) {
         ++fresh;
       } else if (collisions != nullptr) {
         collisions->push_back(p);
       }
-      if (p == s.b) break;
-    }
+    });
   }
   return fresh;
 }
@@ -100,12 +97,7 @@ void CellGrid::clear_segment(int plane, const Segment& s) {
       words_[base + w] &= ~mask;
     }
   } else {
-    const Vec3 d = s.b - s.a;
-    const Vec3 step{0, (d.y > 0) - (d.y < 0), (d.z > 0) - (d.z < 0)};
-    for (Vec3 p = s.a;; p += step) {
-      clear(plane, p);
-      if (p == s.b) break;
-    }
+    s.for_each_cell([&](Vec3 p) { clear(plane, p); });
   }
 }
 
@@ -226,16 +218,13 @@ std::int64_t IntervalOccupancy::set_segment(int plane, const Segment& s,
                       collisions);
   }
   std::int64_t fresh = 0;
-  const Vec3 d = s.b - s.a;
-  const Vec3 step{0, (d.y > 0) - (d.y < 0), (d.z > 0) - (d.z < 0)};
-  for (Vec3 p = s.a;; p += step) {
+  s.for_each_cell([&](Vec3 p) {
     if (insert_run(row(plane, p.y, p.z), p.y, p.z, p.x, p.x, nullptr) > 0) {
       ++fresh;
     } else if (collisions != nullptr) {
       collisions->push_back(p);
     }
-    if (p == s.b) break;
-  }
+  });
   return fresh;
 }
 

@@ -7,25 +7,6 @@
 
 namespace tqec::geom {
 
-namespace {
-
-template <typename Fn>
-void for_each_cell(const Segment& s, Fn&& fn) {
-  Vec3 step{0, 0, 0};
-  const Vec3 d = s.b - s.a;
-  if (d.x != 0) step = {d.x > 0 ? 1 : -1, 0, 0};
-  else if (d.y != 0) step = {0, d.y > 0 ? 1 : -1, 0};
-  else if (d.z != 0) step = {0, 0, d.z > 0 ? 1 : -1};
-  Vec3 p = s.a;
-  for (;;) {
-    fn(p);
-    if (p == s.b) break;
-    p += step;
-  }
-}
-
-}  // namespace
-
 int export_svg(const GeomDescription& g, std::ostream& out,
                const SvgExportOptions& opt) {
   TQEC_REQUIRE(opt.cell_px > 0, "cell size must be positive");
@@ -44,7 +25,7 @@ int export_svg(const GeomDescription& g, std::ostream& out,
   for (const DefectView d : g.defects()) {
     const bool primal = d.type == DefectType::Primal;
     for (const Segment& s : d.segments)
-      for_each_cell(s, [&](Vec3 p) { cells.push_back({p, primal}); });
+      s.for_each_cell([&](Vec3 p) { cells.push_back({p, primal}); });
   }
   std::stable_sort(cells.begin(), cells.end(),
                    [](const auto& a, const auto& b) {

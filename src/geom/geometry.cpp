@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/json.h"
 #include "geom/cell_grid.h"
 
 namespace tqec::geom {
@@ -143,7 +144,7 @@ std::string to_json(const GeomDescription& g) {
     o << '[' << v.x << ',' << v.y << ',' << v.z << ']';
     return o.str();
   };
-  os << "{\"name\":\"" << g.name() << "\",\"defects\":[";
+  os << "{\"name\":\"" << json::escape(g.name()) << "\",\"defects\":[";
   for (std::size_t i = 0; i < g.defects().size(); ++i) {
     const DefectView d = g.defect(i);
     if (i) os << ',';

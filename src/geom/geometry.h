@@ -59,6 +59,20 @@ struct Segment {
   Box3 box() const { return Box3::spanning(a, b); }
   int length() const { return manhattan(a, b) + 1; }  // cell count
 
+  /// Visit every cell from a to b inclusive. Requires an axis-aligned
+  /// segment.
+  template <typename Fn>
+  void for_each_cell(Fn&& fn) const {
+    TQEC_REQUIRE(axis_aligned(), "segment not axis-aligned");
+    const Vec3 d = b - a;
+    const Vec3 step{(d.x > 0) - (d.x < 0), (d.y > 0) - (d.y < 0),
+                    (d.z > 0) - (d.z < 0)};
+    for (Vec3 p = a;; p += step) {
+      fn(p);
+      if (p == b) break;
+    }
+  }
+
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 

@@ -3,31 +3,18 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/clock.h"
+#include "common/union_find.h"
 #include "geom/cell_grid.h"
 
 namespace tqec::geom {
 
 namespace {
-
-/// Visit every lattice cell of an axis-aligned segment, a -> b inclusive.
-template <typename Fn>
-void for_each_cell(const Segment& s, Fn&& fn) {
-  TQEC_REQUIRE(s.axis_aligned(), "stitch: non-axis-aligned segment");
-  const Vec3 d = s.b - s.a;
-  const Vec3 step{(d.x > 0) - (d.x < 0), (d.y > 0) - (d.y < 0),
-                  (d.z > 0) - (d.z < 0)};
-  for (Vec3 p = s.a;; p += step) {
-    fn(p);
-    if (p == s.b) break;
-  }
-}
 
 /// Occupancy + A* bookkeeping, hash flavor: node-based hash containers
 /// whose cost follows the cells touched, not the frame volume. The engine
@@ -239,32 +226,6 @@ std::vector<Segment> path_to_segments(const std::vector<Vec3>& path) {
   return segments;
 }
 
-/// Union-find over staged defect indices; roots stay the smallest member,
-/// so merge results are independent of merge order.
-class Dsu {
- public:
-  explicit Dsu(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t i) {
-    while (parent_[i] != i) {
-      parent_[i] = parent_[parent_[i]];
-      i = parent_[i];
-    }
-    return i;
-  }
-  void unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (b < a) std::swap(a, b);
-    parent_[b] = a;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
 /// One staged (translated) defect: an index range into the staging arena
 /// plus the metadata the emit step needs. The bounding box pre-filters the
 /// carry-cell -> defect resolution scan.
@@ -362,7 +323,7 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
         const Segment t{s.a + delta, s.b + delta};
         sarena.push_back(t);
         rec.bb = rec.bb.merged(t.box());
-        for_each_cell(t, [&](Vec3 c) { space.occupy(c); });
+        t.for_each_cell([&](Vec3 c) { space.occupy(c); });
       }
       srecs.push_back(rec);
     }
@@ -416,7 +377,7 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
                : static_cast<int>(it - slot_start.begin()) - 1;
   };
   using SlotSegments = std::map<int, std::vector<Segment>>;
-  Dsu dsu(srecs.size());
+  UnionFind dsu(srecs.size());
   std::vector<std::pair<std::size_t, std::vector<Segment>>> stitch_segs;
   std::vector<SlotSegments> comp_segs(srecs.size());
   for (std::size_t w = 0; w < windows.size(); ++w) {
@@ -495,7 +456,7 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
              it != slots.end() && it->first <= slot_hi; ++it)
           for (const Segment& seg : it->second) {
             if (!max_region.intersects(seg.box())) continue;
-            for_each_cell(seg, [&](Vec3 c) {
+            seg.for_each_cell([&](Vec3 c) {
               if (max_region.contains(c)) pass_list.push_back(c);
             });
           }
@@ -580,26 +541,28 @@ bool stitch_impl(const std::vector<StitchWindow>& windows,
   }
   if constexpr (Space::kGrid) res.grid_bytes = space.byte_size();
 
-  // Emit merged defects in first-member order so the output is stable.
+  // Emit merged defects in first-member order so the output is stable; a
+  // final defect takes its type and source id from its first member in
+  // staging order, whichever member the union-find picked as root.
+  std::vector<int> final_of_root(srecs.size(), -1);
   std::vector<int> final_of(srecs.size(), -1);
   std::vector<Defect> finals;
   for (std::size_t i = 0; i < srecs.size(); ++i) {
-    const std::size_t r = dsu.find(i);
-    if (final_of[r] < 0) {
+    int& root_final = final_of_root[dsu.find(i)];
+    if (root_final < 0) {
       Defect d;
-      d.type = srecs[r].type;
-      d.source_id = srecs[r].source_id;
-      final_of[r] = static_cast<int>(finals.size());
+      d.type = srecs[i].type;
+      d.source_id = srecs[i].source_id;
+      root_final = static_cast<int>(finals.size());
       finals.push_back(std::move(d));
     }
-    final_of[i] = final_of[r];
-    auto& out = finals[static_cast<std::size_t>(final_of[i])];
+    final_of[i] = root_final;
+    auto& out = finals[static_cast<std::size_t>(root_final)];
     out.segments.insert(out.segments.end(), sarena.data() + srecs[i].first,
                         sarena.data() + srecs[i].first + srecs[i].count);
   }
   for (auto& [member, segs] : stitch_segs) {
-    auto& out = finals[static_cast<std::size_t>(
-        final_of[dsu.find(member)])];
+    auto& out = finals[static_cast<std::size_t>(final_of[member])];
     out.segments.insert(out.segments.end(), segs.begin(), segs.end());
   }
 

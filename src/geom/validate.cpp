@@ -13,22 +13,6 @@ namespace tqec::geom {
 
 namespace {
 
-/// Enumerate the cells of a segment.
-template <typename Fn>
-void for_each_cell(const Segment& s, Fn&& fn) {
-  Vec3 step{0, 0, 0};
-  const Vec3 d = s.b - s.a;
-  if (d.x != 0) step = {d.x > 0 ? 1 : -1, 0, 0};
-  else if (d.y != 0) step = {0, d.y > 0 ? 1 : -1, 0};
-  else if (d.z != 0) step = {0, 0, d.z > 0 ? 1 : -1};
-  Vec3 p = s.a;
-  for (;;) {
-    fn(p);
-    if (p == s.b) break;
-    p += step;
-  }
-}
-
 bool boxes_touch_or_overlap(const Box3& a, const Box3& b) {
   return a.inflated(1).intersects(b);
 }
@@ -72,7 +56,7 @@ void v3_reference_pass(const GeomDescription& g, DefectType type,
     const DefectView d = g.defect(i);
     if (d.type != type) continue;
     for (const Segment& s : d.segments) {
-      for_each_cell(s, [&](Vec3 p) {
+      s.for_each_cell([&](Vec3 p) {
         const auto [it, inserted] = cells.emplace(p, static_cast<int>(i));
         if (primal) {
           if (!inserted && it->second != static_cast<int>(i)) {

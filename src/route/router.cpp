@@ -119,11 +119,8 @@ class Router {
 
   bool route_component(int component, RoutedNet& out) {
     const Box3 window = window_of(out);
-    SearchStats stats;
-    const bool ok = route_one_net(fabric_, scratch_, nodes_, placement_,
-                                  opt_, component, window, out, stats);
-    net_stats_[static_cast<std::size_t>(component)] += stats;
-    return ok;
+    return route_one_net(fabric_, scratch_, nodes_, placement_, opt_,
+                         component, window, out, search_stats_);
   }
 
   const place::NodeSet& nodes_;
@@ -133,9 +130,8 @@ class Router {
   /// The run's one search scratch: every search (batched, requeued and
   /// repair) uses it in turn.
   SearchScratch scratch_;
-  /// Per-component A*-queue tallies, summed into the result in component
-  /// order after routing.
-  std::vector<SearchStats> net_stats_;
+  /// A*-queue tallies of every search this run made.
+  SearchStats search_stats_;
   const CancelToken* stop_;
 };
 
@@ -144,7 +140,6 @@ RoutingResult Router::run() {
   RoutingResult result;
   const int components = static_cast<int>(nodes_.net_pins.size());
   result.nets.assign(static_cast<std::size_t>(components), RoutedNet{});
-  net_stats_.assign(static_cast<std::size_t>(components), SearchStats{});
 
   // Port-region capacity: a module loop pinned by several components must
   // admit one crossing per component not just on its own cell but through
@@ -197,7 +192,6 @@ RoutingResult Router::run() {
   std::vector<std::uint8_t> dirty(static_cast<std::size_t>(components), 1);
   std::vector<int> pending;
   std::vector<RoutedNet> candidates;
-  std::vector<SearchStats> candidate_stats;
   std::vector<std::uint8_t> candidate_ok;
   // Fabric indices of the cells installed by earlier commits of the
   // current batch, sorted and unique.
@@ -234,7 +228,6 @@ RoutingResult Router::run() {
           rip_up(result.nets[static_cast<std::size_t>(c)]);
         check_cost_plane();
         candidates.resize(batch.size());
-        candidate_stats.assign(batch.size(), SearchStats{});
         candidate_ok.assign(batch.size(), 0);
         // Search phase: every member searches the same frozen fabric. The
         // warm window reads the net's pre-rip-up route (rip_up only
@@ -244,8 +237,7 @@ RoutingResult Router::run() {
               window_of(result.nets[static_cast<std::size_t>(batch[i])]);
           candidate_ok[i] =
               route_one_net(fabric_, scratch_, nodes_, placement_, opt_,
-                            batch[i], window, candidates[i],
-                            candidate_stats[i])
+                            batch[i], window, candidates[i], search_stats_)
                   ? 1
                   : 0;
         }
@@ -255,7 +247,6 @@ RoutingResult Router::run() {
         batch_cells.clear();
         for (std::size_t i = 0; i < batch.size(); ++i) {
           const int c = batch[i];
-          net_stats_[static_cast<std::size_t>(c)] += candidate_stats[i];
           TQEC_REQUIRE(candidate_ok[i] != 0,
                        "router failed to connect a net component");
           // Collision: a search that escaped its declared region may have
@@ -557,15 +548,11 @@ RoutingResult Router::run() {
     }
   }
 
-  // A*-queue totals: per-component tallies summed in component order, so
-  // the totals never depend on which worker ran which search.
-  for (const SearchStats& s : net_stats_) {
-    result.queue_pushes += s.queue_pushes;
-    result.queue_pops += s.queue_pops;
-    result.connects += s.connects;
-    result.window_hits += s.window_hits;
-    result.window_misses += s.window_misses;
-  }
+  result.queue_pushes = search_stats_.queue_pushes;
+  result.queue_pops = search_stats_.queue_pops;
+  result.connects = search_stats_.connects;
+  result.window_hits = search_stats_.window_hits;
+  result.window_misses = search_stats_.window_misses;
   result.bounding = placement_.core;
   result.total_wire = 0;
   for (const RoutedNet& net : result.nets) {

@@ -165,7 +165,7 @@ struct RoutingResult {
   /// Mean nets per batch: the spatial parallelism the batcher exposed.
   double parallel_efficiency = 0;
 
-  // Warm-window observability, summed per component in component order.
+  // Warm-window observability, summed over every search of the run.
   /// Warm-window connect attempts that succeeded within the previous
   /// route's bounding box vs. fell through to the classic margin ladder.
   std::int64_t window_hits = 0;

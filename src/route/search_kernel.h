@@ -275,8 +275,8 @@ class BucketQueue {
   bool primed_ = false;
 };
 
-/// A*-queue traffic of one or more searches; summed into the routing
-/// result in deterministic net order.
+/// A*-queue traffic of one or more searches; a routing run accumulates
+/// all of its searches into one.
 struct SearchStats {
   std::int64_t queue_pushes = 0;
   std::int64_t queue_pops = 0;
@@ -287,15 +287,6 @@ struct SearchStats {
   /// classic margin ladder.
   std::int64_t window_hits = 0;
   std::int64_t window_misses = 0;
-
-  SearchStats& operator+=(const SearchStats& o) {
-    queue_pushes += o.queue_pushes;
-    queue_pops += o.queue_pops;
-    connects += o.connects;
-    window_hits += o.window_hits;
-    window_misses += o.window_misses;
-    return *this;
-  }
 };
 
 /// Search scratch of one routing run: the open queue plus two per-cell

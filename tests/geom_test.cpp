@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/union_find.h"
 #include "core/paper_tables.h"
@@ -526,6 +527,19 @@ TEST(EmitTest, DescribeAndJsonContainKeyFacts) {
   EXPECT_NE(json.find("\"defects\""), std::string::npos);
   EXPECT_NE(json.find("\"primal\""), std::string::npos);
   EXPECT_NE(json.find("\"dual\""), std::string::npos);
+}
+
+TEST(EmitTest, JsonEscapesTheName) {
+  const std::string name = "a\"b\\c";
+  GeomDescription g(name);
+  Defect d;
+  d.segments.push_back({{0, 0, 0}, {2, 0, 0}});
+  g.add_defect(d);
+  const json::Value doc = json::parse(to_json(g));
+  const json::Value* parsed = doc.find("name");
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_TRUE(parsed->is_string());
+  EXPECT_EQ(parsed->string, name);
 }
 
 }  // namespace

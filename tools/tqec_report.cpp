@@ -10,8 +10,6 @@
 //     metrics registry;
 //   - Chrome trace-event files (tqec_compress --trace-json=PATH): per-span
 //     aggregation (count / total / min / max, sorted by total time);
-//   - bench-harness stats arrays ([{"bench": ..., "report": {...}}, ...]
-//     as written by REPRO_STATS_JSON): one stats report per entry;
 //   - tqec_serve {"admin": "metrics"} snapshots (the whole response line or
 //     just its "serve" object): counter table, latency-histogram
 //     sparklines over the log-spaced buckets, and a stage-cache
@@ -546,25 +544,11 @@ int render_file(const std::string& path, bool force_serve) {
     render_serve_metrics(doc, path);
     return 0;
   }
-  if (doc.is_array()) {  // bench-harness stats array (REPRO_STATS_JSON)
-    for (const Value& entry : doc.array) {
-      const Value* report = entry.find("report");
-      const Value* bench = entry.find("bench");
-      const std::string label =
-          bench != nullptr && bench->is_string() ? bench->string : path;
-      if (report != nullptr && report->is_object())
-        render_stats(*report, label);
-      else if (entry.is_object())
-        render_stats(entry, label);
-    }
-    return 0;
-  }
   if (doc.is_object()) {
     render_stats(doc, path);
     return 0;
   }
-  std::fprintf(stderr, "%s: not a stats report, bench array, or trace file\n",
-               path.c_str());
+  std::fprintf(stderr, "%s: not a stats report or trace file\n", path.c_str());
   return 1;
 }
 
@@ -593,9 +577,8 @@ int main(int argc, char** argv) {
         stderr,
         "usage: tqec_report [--serve-metrics] <stats.json|trace.json>"
         " [more ...]\n"
-        "renders tqec_compress --stats-json / --trace-json output,\n"
-        "bench REPRO_STATS_JSON arrays, and tqec_serve admin metrics\n"
-        "snapshots as a run report\n");
+        "renders tqec_compress --stats-json / --trace-json output and\n"
+        "tqec_serve admin metrics snapshots as a run report\n");
     return 2;
   }
   return status;
